@@ -81,9 +81,10 @@ class Simulator:
             raise SchedulingInPast(
                 f"cannot schedule {kind!r} at {fire_at} ns; clock is at {self.now} ns"
             )
-        ev = Event(fire_at, self._seq, target, kind, payload)
-        self._seq += 1
-        heappush(self._heap, (ev.fire_at, ev.seq, ev))
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(fire_at, seq, target, kind, payload)
+        heappush(self._heap, (fire_at, seq, ev))
         return ev
 
     def cancel(self, ev: Event) -> None:
@@ -95,18 +96,20 @@ class Simulator:
         The clock ends at t_end even if the queue empties early: the run has
         simulated all activity up to that horizon.
         """
-        while self._heap and self._heap[0][0] <= t_end:
-            _, _, ev = heappop(self._heap)
+        heap = self._heap
+        handlers = self._handlers
+        trace = self.trace
+        while heap and heap[0][0] <= t_end:
+            fire_at, _, ev = heappop(heap)
             if ev.cancelled:
                 continue
-            self.now = ev.fire_at
+            self.now = fire_at
             self._dispatched += 1
-            if self.trace is not None:
-                self.trace(ev)
-            try:
-                handler = self._handlers[ev.target]
-            except KeyError:
-                raise UnknownTarget(f"no handler registered for {ev.target!r}") from None
+            if trace is not None:
+                trace(ev)
+            handler = handlers.get(ev.target)
+            if handler is None:
+                raise UnknownTarget(f"no handler registered for {ev.target!r}")
             handler(ev)
         if t_end > self.now:
             self.now = t_end
@@ -115,10 +118,6 @@ class Simulator:
     @property
     def events_dispatched(self) -> int:
         return self._dispatched
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
 
 
 def stream_rng(master_seed: int, stream_id: str) -> random.Random:
@@ -134,7 +133,18 @@ def stream_rng(master_seed: int, stream_id: str) -> random.Random:
 
 
 def uniform_draw(rng: random.Random, lo: int, hi: int) -> int:
-    """Uniform integer duration in [lo, hi], bounds inclusive."""
+    """Uniform integer duration in [lo, hi], bounds inclusive.
+
+    Rejection sampling on ``rng.getrandbits``: the algorithm behind
+    ``rng.randint(lo, hi)`` (``Random._randbelow_with_getrandbits``), so it
+    consumes and returns exactly the same draws, minus the call chain.
+    """
     if lo > hi:
         raise InvalidRange(f"lo={lo} exceeds hi={hi}")
-    return rng.randint(lo, hi)
+    n = hi - lo + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return lo + r

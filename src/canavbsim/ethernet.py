@@ -13,7 +13,7 @@ Dividing a credit deficit by idle_slope therefore yields whole nanoseconds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .core import Event, SimulationError, Simulator
@@ -69,14 +69,15 @@ def eth_wire_time(payload_len: int, tagged: bool, rate: int) -> int:
     return -(-wire_bits(payload_len, tagged) * 1_000_000_000 // rate)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True, slots=True)
 class EthFrame:
     """A tagged Ethernet frame; payload may be a packed-CAN byte string.
 
     ``payload_len`` is the padded on-wire payload size; ``payload`` holds
     only the meaningful bytes (padding never reaches the decoder, as on a
-    real MAC where the length field strips it).  ``hops`` collects
-    per-port [port, enqueued_ns, dequeued_ns] entries for diagnostics.
+    real MAC where the length field strips it).  Frames are immutable, so
+    one object may sit in several queues at once: the jamming talker sends
+    the same filler frame on every tick.
     """
 
     src: str
@@ -85,7 +86,6 @@ class EthFrame:
     payload_len: int
     payload: bytes = b""
     ethertype: int = ETHERTYPE_FILLER
-    hops: list[list] = field(default_factory=list)
 
     def __post_init__(self):
         if not 0 <= self.pcp <= 7:
@@ -221,45 +221,46 @@ class EgressPort:
         return len(self.queues.avb_q) + len(self.queues.be_q)
 
     def enqueue(self, frame: EthFrame, now: int) -> bool:
-        self._update_credit(now)
-        accepted = self.queues.enqueue(frame)
-        if accepted:
-            frame.hops.append([self.name, now, None])
+        queues = self.queues
+        self.credit.update(now, self._tx_is_avb, not queues.avb_q)
+        if not queues.enqueue(frame):
+            if self.on_drop is not None:
+                self.on_drop(frame)
+            return False
+        if self.depth_trace is not None:
             self._trace_depth(now)
+        # A busy link picks its next frame at tx_complete.
+        if self._tx_frame is None:
             self.kick(now)
-        elif self.on_drop is not None:
-            self.on_drop(frame)
-        return accepted
+        return True
 
     def kick(self, now: int) -> None:
         """Start a transmission if the link is idle and a frame is eligible."""
-        if self.busy:
+        if self._tx_frame is not None:
             return
-        self._update_credit(now)
-        frame = select_next_frame(self.queues, self.credit)
+        queues = self.queues
+        self.credit.update(now, False, not queues.avb_q)
+        frame = select_next_frame(queues, self.credit)
         if frame is None:
-            if self.queues.avb_q and self._wakeup is None:
+            if queues.avb_q and self._wakeup is None:
                 # AVB gated on negative credit with nothing else to send:
                 # wake exactly when credit reaches zero.
                 self._wakeup = self.sim.schedule(
                     self.name, "credit_ready", now + self.credit.replenish_delay()
                 )
             return
-        is_avb = self.queues.is_avb(frame)
-        (self.queues.avb_q if is_avb else self.queues.be_q).popleft()
+        is_avb = queues.is_avb(frame)
+        (queues.avb_q if is_avb else queues.be_q).popleft()
         if self._wakeup is not None:
             self.sim.cancel(self._wakeup)
             self._wakeup = None
-        for hop in reversed(frame.hops):
-            if hop[0] == self.name and hop[2] is None:
-                hop[2] = now
-                break
         self._tx_frame = frame
         self._tx_is_avb = is_avb
         bits = wire_bits(frame.payload_len, tagged=is_avb)
         self.tx_log.append((now, bits, is_avb))
         self.sim.schedule(self.name, "tx_complete", now + eth_wire_time(frame.payload_len, is_avb, self.rate))
-        self._trace_depth(now)
+        if self.depth_trace is not None:
+            self._trace_depth(now)
 
     def _handle(self, ev: Event) -> None:
         if ev.kind == "tx_complete":
@@ -270,7 +271,8 @@ class EgressPort:
             self._tx_frame = None
             self._tx_is_avb = False
             self.transmitted += 1
-            self._trace_depth(ev.fire_at)
+            if self.depth_trace is not None:
+                self._trace_depth(ev.fire_at)
             if self.peer is not None:
                 self.peer.on_frame_received(frame, ev.fire_at)
             self.kick(ev.fire_at)
@@ -281,11 +283,12 @@ class EgressPort:
             raise EthError(f"unexpected event kind {ev.kind!r}")
 
     def _update_credit(self, now: int) -> None:
-        self.credit.update(now, self._tx_is_avb and self.busy, not self.queues.avb_q)
+        # _tx_is_avb is only ever true while a frame is in service.
+        self.credit.update(now, self._tx_is_avb, not self.queues.avb_q)
 
     def _trace_depth(self, now: int) -> None:
-        if self.depth_trace is not None:
-            self.depth_trace(now, self.name, len(self.queues.avb_q), len(self.queues.be_q), self.credit.credit)
+        """Log queue depths and credit; callers check depth_trace is set."""
+        self.depth_trace(now, self.name, len(self.queues.avb_q), len(self.queues.be_q), self.credit.credit)
 
     def accounting(self) -> dict[str, int]:
         """Exact frame conservation figures for this port."""
@@ -309,7 +312,9 @@ class Switch:
         self.ports: dict[str, EgressPort] = {}
         self.routes: dict[str, str] = {}  # dst node -> port name
         self.unknown_dst_drops = 0
-        self.pending: set[EthFrame] = set()  # received, not yet enqueued at egress
+        # Received, not yet enqueued at egress, in arrival order.  A constant
+        # forwarding latency makes "forward" events fire in that same order.
+        self.pending: deque[EthFrame] = deque()
         sim.register(name, self._handle)
 
     def add_port(self, port: EgressPort) -> None:
@@ -323,14 +328,14 @@ class Switch:
     def on_frame_received(self, frame: EthFrame, now: int) -> None:
         # Eligible for egress only after full reception; the processing
         # delay then covers lookup and internal transfer.
-        self.pending.add(frame)
+        self.pending.append(frame)
         self.sim.schedule(self.name, "forward", now + self.forwarding_latency, payload=frame)
 
     def _handle(self, ev: Event) -> None:
         if ev.kind != "forward":
             raise EthError(f"unexpected event kind {ev.kind!r}")
         frame: EthFrame = ev.payload
-        self.pending.discard(frame)
+        self.pending.popleft()
         port_name = self.routes.get(frame.dst)
         if port_name is None:
             self.unknown_dst_drops += 1

@@ -235,6 +235,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ValidationError(message)
 
     need(cfg.duration > 0, "sim.duration must be positive")
+    # Every created_at is at most the horizon, and the gateway packs it as u64.
+    need(cfg.duration < 2**64, "sim.duration must be below 2**64 ns")
     need(cfg.can_bitrate > 0, "can.bitrate must be positive")
     need(
         cfg.can_stuffing_model in STUFFING_MODELS,
@@ -355,8 +357,9 @@ class Network:
         """CAN messages created but not yet delivered, wherever they sit."""
         total = self.bus.queued_messages() + len(self.gw.fifo)
         for port in self.ports:
-            for frame in list(port.queues.avb_q) + list(port.queues.be_q):
-                total += self._records_in(frame)
+            for queue in (port.queues.avb_q, port.queues.be_q):
+                for frame in queue:
+                    total += self._records_in(frame)
             total += self._records_in(port.in_service())
         for sw in self.switches:
             for frame in sw.pending:

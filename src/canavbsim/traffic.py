@@ -17,6 +17,7 @@ from .ethernet import (
     MIN_PAYLOAD,
     VLAN_TAG_BYTES,
     AVB_PCP,
+    EgressPort,
     EthFrame,
 )
 from .gateway import unpack
@@ -121,6 +122,15 @@ class JammingTalker:
         self.rng = rng
         self.egress = egress
         self.emitted = 0
+        # Every tick hands over this one immutable frame.
+        self.frame = EthFrame(
+            src=name,
+            dst=cfg.dst,
+            pcp=cfg.pcp,
+            payload_len=cfg.payload_len,
+            ethertype=ETHERTYPE_FILLER,
+        )
+        self._send = egress.enqueue if isinstance(egress, EgressPort) else egress.on_frame_received
         sim.register(name, self._handle)
 
     def start(self) -> None:
@@ -129,20 +139,11 @@ class JammingTalker:
     def _handle(self, ev: Event) -> None:
         if ev.kind != "tick":
             raise TrafficError(f"unexpected event kind {ev.kind!r}")
-        frame = EthFrame(
-            src=self.name,
-            dst=self.cfg.dst,
-            pcp=self.cfg.pcp,
-            payload_len=self.cfg.payload_len,
-            ethertype=ETHERTYPE_FILLER,
-        )
-        if hasattr(self.egress, "enqueue"):
-            self.egress.enqueue(frame, ev.fire_at)
-        else:
-            self.egress.on_frame_received(frame, ev.fire_at)
+        now = ev.fire_at
+        self._send(self.frame, now)
         self.emitted += 1
-        gap = uniform_draw(self.rng, self.cfg.period_lo, self.cfg.period_hi)
-        self.sim.schedule(self.name, "tick", ev.fire_at + gap)
+        cfg = self.cfg
+        self.sim.schedule(self.name, "tick", now + uniform_draw(self.rng, cfg.period_lo, cfg.period_hi))
 
 
 class Listener:

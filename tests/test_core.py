@@ -135,6 +135,18 @@ def test_uniform_draw_bounds_inclusive():
     assert set(draws) == {1, 2, 3}
 
 
+@pytest.mark.parametrize("lo, hi", [(1_000, 25_000), (5, 5), (0, 2**32 - 1), (0, 2**32)])
+def test_uniform_draw_matches_randint_draw_for_draw(lo, hi):
+    # The golden outputs rest on this: uniform_draw must consume and return
+    # exactly what Random.randint does on this interpreter.
+    for seed in (0, 1, 42):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert [uniform_draw(rng, lo, hi) for _ in range(100_000)] == [
+            ref.randint(lo, hi) for _ in range(100_000)
+        ]
+        assert rng.getstate() == ref.getstate()
+
+
 def test_stream_rng_reproducible_and_independent():
     a1 = [stream_rng(42, "talker").randint(0, 10**9) for _ in range(1)][0]
     a2 = stream_rng(42, "talker").randint(0, 10**9)

@@ -173,9 +173,9 @@ def test_store_and_forward_chain_latency():
     sim.run_until(10_000_000)
     [(fr, when)] = sink.received
     assert when == 3 * 7_040 + 2 * 5_000
-    # diagnostics captured one enqueue/dequeue pair per hop
-    assert [h[0] for h in fr.hops] == ["port:gw->sw1", "port:sw1->sw2", "port:sw2->listener"]
-    assert all(h[1] <= h[2] for h in fr.hops)
+    # each hop transmitted the frame once, after the previous hop's wire
+    # time plus the forwarding delay
+    assert [[start for start, _, _ in p.tx_log] for p in (p0, p1, p2)] == [[0], [12_040], [24_080]]
 
 
 def test_fifo_within_class():

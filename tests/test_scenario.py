@@ -232,6 +232,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert err.startswith("error: ValidationError:")
 
 
+def test_cli_rejects_horizon_beyond_u64_timestamps(tmp_path, capsys):
+    # A created_at of 2**64 ns would not fit the gateway's u64 field.
+    cfg = write_cfg(
+        tmp_path,
+        "[sim]\nduration = 36893488147419200000ns\n"
+        "[gateway]\npack_period = 18446744073709551616ns\n"
+        "[traffic.sender]\nstart = 18446744073709551616ns\nperiod = 18446744073709551616ns\n",
+    )
+    code = cli_main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ValidationError:")
+
+
 def test_cli_suite_runs_four_arms(tmp_path, capsys):
     code = cli_main(["suite", "--duration", "20ms", "--out", str(tmp_path / "suite")])
     assert code == 0
