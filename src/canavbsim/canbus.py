@@ -44,7 +44,7 @@ class DuplicateIdContention(CanError):
     """Two distinct nodes contend for the bus with the same identifier."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanMessage:
     """One 11-bit-ID CAN data frame request.
 
@@ -98,12 +98,19 @@ def arbitrate(pending: list[CanMessage] | set[CanMessage]) -> CanMessage:
     """
     if not pending:
         raise CanError("arbitrate called with no contenders")
-    winner = min(pending, key=lambda m: m.can_id)
-    rivals = [m for m in pending if m.can_id == winner.can_id]
-    if len({m.source for m in rivals}) > 1:
-        raise DuplicateIdContention(
-            f"nodes {sorted(m.source for m in rivals)} contend with id {winner.can_id:#x}"
-        )
+    contenders = iter(pending)
+    winner = next(contenders)
+    win_id = winner.can_id
+    tied = False
+    for m in contenders:
+        if m.can_id < win_id:
+            winner, win_id, tied = m, m.can_id, False
+        elif m.can_id == win_id:
+            tied = True
+    if tied:
+        sources = sorted(m.source for m in pending if m.can_id == win_id)
+        if sources[0] != sources[-1]:
+            raise DuplicateIdContention(f"nodes {sources} contend with id {win_id:#x}")
     pending.remove(winner)
     return winner
 
@@ -138,6 +145,8 @@ class CanBus:
         self._queues: dict[str, deque[CanMessage]] = {}
         self._receivers: dict[str, Callable[[CanMessage, int], None] | None] = {}
         self._transmitting: CanMessage | None = None
+        self._tx_duration = 0  # wire time of the frame in service
+        self._frame_times: dict[int, int] = {}  # dlc -> can_frame_time on this bus
         self._arb_scheduled = False
         sim.register(name, self._handle)
 
@@ -150,11 +159,11 @@ class CanBus:
 
     def transmit_request(self, node_id: str, msg: CanMessage) -> bool:
         """Queue msg at the node; returns False if the node cap dropped it."""
-        if node_id not in self._queues:
+        q = self._queues.get(node_id)
+        if q is None:
             raise CanError(f"node {node_id!r} not attached to bus {self.name!r}")
         if msg.source != node_id:
             raise CanError(f"message source {msg.source!r} does not match node {node_id!r}")
-        q = self._queues[node_id]
         if self.node_queue_cap is not None and len(q) >= self.node_queue_cap:
             self.overflows[node_id] += 1
             return False
@@ -177,16 +186,18 @@ class CanBus:
         if self._arb_scheduled or self._transmitting is not None:
             return
         self._arb_scheduled = True
-        self.sim.schedule(self.name, "arbitrate", max(self.sim.now, self.busy_until))
+        now = self.sim.now
+        self.sim.schedule(self.name, "arbitrate", now if now > self.busy_until else self.busy_until)
 
     def _handle(self, ev: Event) -> None:
-        if ev.kind == "arbitrate":
+        kind = ev.kind
+        if kind == "arbitrate":
             self._arb_scheduled = False
             self._start_transmission(ev.fire_at)
-        elif ev.kind == "tx_complete":
+        elif kind == "tx_complete":
             self._complete_transmission(ev.fire_at)
         else:
-            raise CanError(f"unexpected event kind {ev.kind!r}")
+            raise CanError(f"unexpected event kind {kind!r}")
 
     def _start_transmission(self, now: int) -> None:
         if self._transmitting is not None:
@@ -197,7 +208,11 @@ class CanBus:
         winner = arbitrate(heads)
         self._queues[winner.source].popleft()
         self._transmitting = winner
-        duration = can_frame_time(winner.dlc, self.bitrate, self.stuffing_model)
+        dlc = len(winner.payload)
+        duration = self._frame_times.get(dlc)
+        if duration is None:
+            duration = self._frame_times[dlc] = can_frame_time(dlc, self.bitrate, self.stuffing_model)
+        self._tx_duration = duration
         self.busy_until = now + duration
         self.sim.schedule(self.name, "tx_complete", self.busy_until)
 
@@ -205,7 +220,7 @@ class CanBus:
         msg = self._transmitting
         self._transmitting = None
         self.frames_delivered += 1
-        self.busy_ns += can_frame_time(msg.dlc, self.bitrate, self.stuffing_model)
+        self.busy_ns += self._tx_duration
         for node_id, receiver in self._receivers.items():
             if node_id != msg.source and receiver is not None:
                 receiver(msg, now)

@@ -54,9 +54,16 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
+class OutputDirError(SimulationError):
+    """The output directory could not be created."""
+
+
 def _out_dir(cfg: ScenarioConfig) -> Path:
     out = Path(cfg.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputDirError(f"cannot create {str(out)!r}: {exc.strerror or exc}") from None
     return out
 
 

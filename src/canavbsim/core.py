@@ -11,11 +11,14 @@ import hashlib
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
+
+# Builds an Event from a ready tuple without the NamedTuple __new__ call.
+_new_tuple = tuple.__new__
 
 
 class SimulationError(Exception):
@@ -34,16 +37,18 @@ class UnknownTarget(SimulationError):
     """An event fired for an entity that was never registered."""
 
 
-@dataclass(slots=True)
-class Event:
-    """One scheduled occurrence.  Total order is (fire_at, seq)."""
+class Event(NamedTuple):
+    """One scheduled occurrence, and its own heap entry.
+
+    Total order is (fire_at, seq); seq is unique, so tuple comparison never
+    reaches target.  Immutable: cancellation is recorded on the Simulator.
+    """
 
     fire_at: int
     seq: int
     target: str
     kind: str
     payload: Any = None
-    cancelled: bool = False
 
 
 @dataclass(slots=True)
@@ -65,7 +70,8 @@ class Simulator:
     def __init__(self, trace: Callable[[Event], None] | None = None):
         self.now = 0
         self.trace = trace
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[Event] = []
+        self._cancelled: set[int] = set()  # seqs of cancelled, not yet popped events
         self._seq = 0
         self._dispatched = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
@@ -83,12 +89,13 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(fire_at, seq, target, kind, payload)
-        heappush(self._heap, (fire_at, seq, ev))
+        ev = _new_tuple(Event, (fire_at, seq, target, kind, payload))
+        heappush(self._heap, ev)
         return ev
 
     def cancel(self, ev: Event) -> None:
-        ev.cancelled = True
+        """Drop a pending event; cancelling twice, or after it fired, is harmless."""
+        self._cancelled.add(ev.seq)
 
     def run_until(self, t_end: int) -> RunStats:
         """Dispatch every event with fire_at <= t_end in (fire_at, seq) order.
@@ -99,17 +106,20 @@ class Simulator:
         heap = self._heap
         handlers = self._handlers
         trace = self.trace
+        cancelled = self._cancelled
         while heap and heap[0][0] <= t_end:
-            fire_at, _, ev = heappop(heap)
-            if ev.cancelled:
+            ev = heappop(heap)
+            # Index access: ev is (fire_at, seq, target, kind, payload).
+            if cancelled and ev[1] in cancelled:
+                cancelled.remove(ev[1])
                 continue
-            self.now = fire_at
+            self.now = ev[0]
             self._dispatched += 1
             if trace is not None:
                 trace(ev)
-            handler = handlers.get(ev.target)
+            handler = handlers.get(ev[2])
             if handler is None:
-                raise UnknownTarget(f"no handler registered for {ev.target!r}")
+                raise UnknownTarget(f"no handler registered for {ev[2]!r}")
             handler(ev)
         if t_end > self.now:
             self.now = t_end

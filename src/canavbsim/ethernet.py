@@ -145,13 +145,10 @@ class PortQueueSet:
         self.offered = 0
         self.dropped = 0
 
-    def is_avb(self, frame: EthFrame) -> bool:
-        return frame.pcp == self.avb_pcp
-
     def enqueue(self, frame: EthFrame) -> bool:
         """Classify by pcp and append; returns False on tail drop."""
         self.offered += 1
-        if self.is_avb(frame):
+        if frame.pcp == self.avb_pcp:
             q, cap = self.avb_q, self.avb_cap
         else:
             q, cap = self.be_q, self.be_cap
@@ -208,6 +205,8 @@ class EgressPort:
         self._tx_frame: EthFrame | None = None
         self._tx_is_avb = False
         self._wakeup: Event | None = None
+        # (payload_len, tagged) -> (wire_bits, eth_wire_time) on this link
+        self._wire_costs: dict[tuple[int, bool], tuple[int, int]] = {}
         sim.register(name, self._handle)
 
     @property
@@ -249,16 +248,23 @@ class EgressPort:
                     self.name, "credit_ready", now + self.credit.replenish_delay()
                 )
             return
-        is_avb = queues.is_avb(frame)
+        is_avb = frame.pcp == queues.avb_pcp
         (queues.avb_q if is_avb else queues.be_q).popleft()
         if self._wakeup is not None:
             self.sim.cancel(self._wakeup)
             self._wakeup = None
         self._tx_frame = frame
         self._tx_is_avb = is_avb
-        bits = wire_bits(frame.payload_len, tagged=is_avb)
+        key = (frame.payload_len, is_avb)
+        cost = self._wire_costs.get(key)
+        if cost is None:
+            cost = self._wire_costs[key] = (
+                wire_bits(frame.payload_len, is_avb),
+                eth_wire_time(frame.payload_len, is_avb, self.rate),
+            )
+        bits, duration = cost
         self.tx_log.append((now, bits, is_avb))
-        self.sim.schedule(self.name, "tx_complete", now + eth_wire_time(frame.payload_len, is_avb, self.rate))
+        self.sim.schedule(self.name, "tx_complete", now + duration)
         if self.depth_trace is not None:
             self._trace_depth(now)
 

@@ -61,38 +61,42 @@ def pack(messages: list[CanMessage], limit: int = MAX_PAYLOAD) -> bytes:
     """Serialize messages into one payload; raises PayloadOverflow past limit."""
     if len(messages) > 0xFFFF:
         raise PayloadOverflow(f"{len(messages)} records exceed the 16-bit count field")
-    size = packed_size(messages)
-    if size > limit:
-        raise PayloadOverflow(f"{size} bytes exceed the {limit}-byte payload limit")
+    record = _RECORD.pack
     parts = [_COUNT.pack(len(messages))]
     for m in messages:
-        parts.append(_RECORD.pack(m.can_id, m.dlc, m.created_at))
-        parts.append(m.payload)
-    return b"".join(parts)
+        data = m.payload
+        parts += (record(m.can_id, len(data), m.created_at), data)
+    payload = b"".join(parts)
+    if len(payload) > limit:
+        raise PayloadOverflow(f"{len(payload)} bytes exceed the {limit}-byte payload limit")
+    return payload
 
 
 def unpack(payload: bytes) -> list[CanMessage]:
     """Exact inverse of pack; rejects any truncated or inconsistent buffer."""
-    if len(payload) < COUNT_SIZE:
+    size = len(payload)
+    if size < COUNT_SIZE:
         raise MalformedPayload("payload shorter than the record count field")
     (count,) = _COUNT.unpack_from(payload, 0)
+    record = _RECORD.unpack_from
     offset = COUNT_SIZE
     messages = []
     for i in range(count):
-        if offset + RECORD_OVERHEAD > len(payload):
+        if offset + RECORD_OVERHEAD > size:
             raise MalformedPayload(f"record {i} truncated at offset {offset}")
-        can_id, dlc, created_at = _RECORD.unpack_from(payload, offset)
+        can_id, dlc, created_at = record(payload, offset)
         offset += RECORD_OVERHEAD
         if can_id > CAN_MAX_ID:
             raise MalformedPayload(f"record {i} can_id {can_id:#x} outside 11-bit range")
         if dlc > CAN_MAX_DLC:
             raise MalformedPayload(f"record {i} dlc {dlc} exceeds 8")
-        if offset + dlc > len(payload):
+        end = offset + dlc
+        if end > size:
             raise MalformedPayload(f"record {i} data truncated")
-        messages.append(CanMessage(can_id, payload[offset : offset + dlc], created_at))
-        offset += dlc
-    if offset != len(payload):
-        raise MalformedPayload(f"{len(payload) - offset} trailing bytes after {count} records")
+        messages.append(CanMessage(can_id, payload[offset:end], created_at))
+        offset = end
+    if offset != size:
+        raise MalformedPayload(f"{size - offset} trailing bytes after {count} records")
     return messages
 
 
@@ -169,15 +173,18 @@ class Gateway:
 
     def on_pack_timer(self, now: int) -> EthFrame | None:
         """Build the tick's frame, or None when the FIFO is empty."""
-        if not self.fifo:
+        fifo = self.fifo
+        if not fifo:
             return None
+        limit = self.cfg.mtu_payload
         batch = []
         size = COUNT_SIZE
-        while self.fifo and size + RECORD_OVERHEAD + self.fifo[0].dlc <= self.cfg.mtu_payload:
-            msg = self.fifo.popleft()
-            size += RECORD_OVERHEAD + msg.dlc
-            batch.append(msg)
-        payload = pack(batch, self.cfg.mtu_payload)
+        while fifo:
+            size += RECORD_OVERHEAD + len(fifo[0].payload)
+            if size > limit:
+                break
+            batch.append(fifo.popleft())
+        payload = pack(batch, limit)
         self.frames_sent += 1
         self.messages_packed += len(batch)
         return EthFrame(

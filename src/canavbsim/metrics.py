@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .core import SimulationError
@@ -15,7 +16,7 @@ class MetricsError(SimulationError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatencyRecord:
     """One delivered CAN message; latency is delivered_at - created_at exactly."""
 
@@ -70,6 +71,9 @@ class LatencyRecorder:
     def record(self, rec: LatencyRecord) -> None:
         self.records.append(rec)
 
+    def record_all(self, recs: list[LatencyRecord]) -> None:
+        self.records.extend(recs)
+
     def summarize(self, jam_frames: int = 0, drops: dict[str, int] | None = None) -> RunSummary:
         drops = dict(drops or {})
         if not self.records:
@@ -89,12 +93,14 @@ class LatencyRecorder:
 
 def export_csv(records: list[LatencyRecord], path: str | Path) -> None:
     """Write records in creation-time order; byte output is deterministic."""
-    rows = sorted(records, key=lambda r: (r.created_at, r.seq))
+    rows = sorted(records, key=attrgetter("created_at", "seq"))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([r.seq, r.can_id, r.created_at, r.delivered_at, r.latency, r.arm])
+        writer.writerows(
+            (r.seq, r.can_id, r.created_at, r.delivered_at, r.latency, r.arm)
+            for r in rows
+        )
 
 
 def read_csv(path: str | Path) -> list[LatencyRecord]:

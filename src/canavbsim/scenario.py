@@ -44,6 +44,10 @@ class ValidationError(ConfigError):
     """A config value violates an invariant."""
 
 
+class ConfigReadError(ConfigError):
+    """The config file could not be read or is not UTF-8 text."""
+
+
 _DURATION_UNITS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": NS_PER_SEC}
 _RATE_UNITS = {"bps": 1, "kbps": 1_000, "mbps": 1_000_000, "gbps": 1_000_000_000}
 
@@ -317,7 +321,15 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    return parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigReadError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigReadError(
+            f"{str(path)!r} is not UTF-8 text: byte {exc.start}: {exc.reason}"
+        ) from None
+    return parse_config(text)
 
 
 class Network:
@@ -513,9 +525,10 @@ def run_scenario(
         trace = None
         if trace_file:
             trace_file.write("time_ns,seq,target,kind\n")
+            write = trace_file.write
 
             def trace(ev: Event) -> None:
-                trace_file.write(f"{ev.fire_at},{ev.seq},{ev.target},{ev.kind}\n")
+                write("%d,%d,%s,%s\n" % ev[:4])  # fire_at, seq, target, kind
 
         depth_trace = None
         if depth_file:

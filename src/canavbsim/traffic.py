@@ -53,6 +53,7 @@ class PeriodicCanSender:
         self.cfg = cfg
         self.bus = bus
         self.created = 0
+        self._seq_wrap = 1 << (8 * cfg.dlc)  # the seq is carried modulo this
         bus.attach(name)
         sim.register(name, self._handle)
 
@@ -62,15 +63,13 @@ class PeriodicCanSender:
     def _handle(self, ev: Event) -> None:
         if ev.kind != "tick":
             raise TrafficError(f"unexpected event kind {ev.kind!r}")
-        seq = self.created
-        payload = (seq % (1 << (8 * self.cfg.dlc)) if self.cfg.dlc else 0).to_bytes(
-            self.cfg.dlc, "little"
-        )
-        msg = CanMessage(self.cfg.can_id, payload, created_at=ev.fire_at, source=self.name)
-        self.bus.transmit_request(self.name, msg)
+        cfg = self.cfg
+        now = ev.fire_at
+        payload = (self.created % self._seq_wrap).to_bytes(cfg.dlc, "little")
+        self.bus.transmit_request(self.name, CanMessage(cfg.can_id, payload, now, self.name))
         self.created += 1
-        if self.cfg.count_limit is None or self.created < self.cfg.count_limit:
-            self.sim.schedule(self.name, "tick", ev.fire_at + self.cfg.period)
+        if cfg.count_limit is None or self.created < cfg.count_limit:
+            self.sim.schedule(self.name, "tick", now + cfg.period)
 
 
 @dataclass
@@ -161,16 +160,11 @@ class Listener:
         if frame.ethertype != ETHERTYPE_CAN_TUNNEL:
             self.jam_frames += 1
             return []
-        records = []
-        for msg in unpack(frame.payload):
-            rec = LatencyRecord(
-                seq=int.from_bytes(msg.payload, "little"),
-                can_id=msg.can_id,
-                created_at=msg.created_at,
-                delivered_at=now,
-                arm=self.arm,
-            )
-            self.recorder.record(rec)
-            records.append(rec)
+        arm = self.arm
+        records = [
+            LatencyRecord(int.from_bytes(msg.payload, "little"), msg.can_id, msg.created_at, now, arm)
+            for msg in unpack(frame.payload)
+        ]
+        self.recorder.record_all(records)
         self.records_received += len(records)
         return records

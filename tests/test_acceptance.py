@@ -28,12 +28,6 @@ def criterion(name):
     print(f"{name} PASS")
 
 
-@pytest.fixture(scope="module")
-def suite(tmp_path_factory):
-    out = tmp_path_factory.mktemp("suite_run1")
-    return run_experiment_suite(ScenarioConfig(seed=SEED, duration=DURATION), out), out
-
-
 def test_a1_baseline_latency_avb_nature(suite):
     # closed-form path: 114us CAN frame + pack wait in [0, 500us]
     # + 3 hops of minimal tagged wire time + 2 * 5us forwarding

@@ -241,3 +241,21 @@ def test_random_contention_matches_brute_force_replay():
             now += frame
             expected.append((c, now))
         assert seen == expected
+
+
+@pytest.mark.parametrize("stuffing", [STUFFING_NONE, STUFFING_WORST_CASE])
+def test_cached_frame_times_match_can_frame_time(stuffing):
+    # Mixed dlc 0..8, each value more than once, sent back to back.
+    dlcs = [3, 0, 8, 1, 7, 2, 6, 4, 5, 8, 0, 3]
+    sim = Simulator()
+    bus = CanBus(sim, stuffing_model=stuffing)
+    done = []
+    bus.attach("a")
+    bus.attach("b", lambda m, t: done.append((len(m.payload), t)))
+    for dlc in dlcs:
+        bus.transmit_request("a", msg(0x100, "a", created_at=0, dlc=dlc))
+    sim.run_until(10_000_000)
+    times = [can_frame_time(dlc, bus.bitrate, stuffing) for dlc in dlcs]
+    assert [d for d, _ in done] == dlcs
+    assert [t for _, t in done] == [sum(times[: i + 1]) for i in range(len(dlcs))]
+    assert bus.busy_ns == sum(times)

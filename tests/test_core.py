@@ -5,6 +5,7 @@ import random
 import pytest
 
 from canavbsim.core import (
+    Event,
     InvalidRange,
     SchedulingInPast,
     Simulator,
@@ -82,6 +83,80 @@ def test_cancelled_event_not_dispatched():
     stats = sim.run_until(100)
     assert [k for _, _, k in log] == ["keep"]
     assert stats.events_dispatched == 1
+
+
+def test_cancelled_event_neither_dispatched_nor_counted():
+    sim = Simulator()
+    log = []
+    sim.register("a", collect(sim, log))
+    drop = sim.schedule("a", "drop", 10)
+    sim.schedule("a", "keep", 20)
+    sim.cancel(drop)
+    stats = sim.run_until(100)
+    assert log == [(20, 1, "keep")]
+    assert stats.events_dispatched == 1
+    assert sim._cancelled == set()
+
+
+def test_cancel_twice_is_harmless():
+    sim = Simulator()
+    log = []
+    sim.register("a", collect(sim, log))
+    drop = sim.schedule("a", "drop", 10)
+    sim.cancel(drop)
+    sim.cancel(drop)
+    sim.schedule("a", "keep", 10)
+    stats = sim.run_until(100)
+    assert log == [(10, 1, "keep")]
+    assert stats.events_dispatched == 1
+    assert sim._cancelled == set()
+
+
+def test_cancel_after_fire_changes_no_later_dispatch():
+    sim = Simulator()
+    log = []
+    sim.register("a", collect(sim, log))
+    fired = sim.schedule("a", "first", 10)
+    sim.run_until(10)
+    sim.cancel(fired)
+    sim.schedule("a", "second", 20)
+    sim.schedule("a", "third", 20)
+    stats = sim.run_until(100)
+    assert log == [(10, 0, "first"), (20, 1, "second"), (20, 2, "third")]
+    assert stats.events_dispatched == 3
+
+
+def test_cancel_from_handler_drops_same_instant_event():
+    # A handler cancelling a later event at its own timestamp, as an
+    # EgressPort does with its credit wakeup.
+    sim = Simulator()
+    log = []
+    handles = {}
+
+    def handler(ev):
+        log.append(ev.kind)
+        if ev.kind == "first":
+            sim.cancel(handles["wakeup"])
+
+    sim.register("a", handler)
+    sim.schedule("a", "first", 10)
+    handles["wakeup"] = sim.schedule("a", "wakeup", 10)
+    sim.run_until(100)
+    assert log == ["first"]
+    assert sim._cancelled == set()
+
+
+def test_event_is_an_immutable_heap_entry():
+    sim = Simulator()
+    ev = sim.schedule("a", "x", 5, payload="p")
+    assert isinstance(ev, Event)
+    assert ev == (5, 0, "a", "x", "p")
+    assert (ev.fire_at, ev.seq, ev.target, ev.kind, ev.payload) == (5, 0, "a", "x", "p")
+    with pytest.raises(AttributeError):
+        ev.fire_at = 6
+    with pytest.raises(AttributeError):
+        ev.cancelled = True
+    assert sim._heap == [ev]
 
 
 def test_causality_clock_never_decreases():

@@ -291,3 +291,23 @@ def test_frame_conservation_counters():
         acct["transmitted"] + acct["queued"] + acct["in_service"] + acct["dropped"]
     )
     assert acct["transmitted"] == len(h.sink.received)
+
+
+def test_cached_wire_costs_match_wire_bits_and_eth_wire_time():
+    # AVB (tagged) and best-effort (untagged) frames of one payload_len must
+    # not share a cached cost; neither may frames of different lengths.
+    sim = Simulator()
+    sink = Sink()
+    port = EgressPort(sim, "p", RATE, 75_000_000, peer=sink)
+    lengths = [100, 100, 46, 1500, 100, 46, 1500, 100]
+    for i, payload_len in enumerate(lengths):
+        port.enqueue(frame(pcp=AVB_PCP if i % 2 else 0, payload_len=payload_len), 0)
+    sim.run_until(10_000_000)
+    assert len(port.tx_log) == len(sink.received) == len(lengths)
+    assert {(fr.payload_len, fr.pcp == AVB_PCP) for fr, _ in sink.received} == {
+        (100, False), (100, True), (46, False), (46, True), (1500, False), (1500, True)
+    }
+    for (start, bits, is_avb), (fr, done) in zip(port.tx_log, sink.received):
+        assert is_avb == (fr.pcp == AVB_PCP)
+        assert bits == wire_bits(fr.payload_len, is_avb)
+        assert done - start == eth_wire_time(fr.payload_len, is_avb, RATE)

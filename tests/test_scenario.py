@@ -250,3 +250,26 @@ def test_cli_suite_runs_four_arms(tmp_path, capsys):
     assert code == 0
     for arm in ARMS:
         assert (tmp_path / "suite" / f"fig3_{arm}.csv").exists()
+
+
+def test_cli_missing_config_is_a_config_error(tmp_path, capsys):
+    code = cli_main(["run", str(tmp_path / "absent.ini")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ConfigReadError:")
+
+
+def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "binary.ini"
+    path.write_bytes(b"\xff\xfe")
+    code = cli_main(["run", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ConfigReadError:")
+
+
+def test_cli_out_naming_a_file_is_a_runtime_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[sim]\nduration = 10ms\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = cli_main(["run", cfg, "--out", str(taken)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: OutputDirError:")
