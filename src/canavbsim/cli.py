@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .core import SimulationError
@@ -67,16 +68,31 @@ def _out_dir(cfg: ScenarioConfig) -> Path:
     return out
 
 
+class OutputFileError(SimulationError):
+    """An output file could not be opened or written."""
+
+
+@contextmanager
+def _writing_outputs():
+    """Map an OSError from opening or writing an output file to OutputFileError."""
+    try:
+        yield
+    except OSError as exc:
+        path = repr(str(exc.filename)) if exc.filename is not None else "an output file"
+        raise OutputFileError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
-    result = run_scenario(
-        cfg,
-        trace_path=out / "trace.csv" if args.trace else None,
-        depth_trace_path=out / "queue_trace.csv" if args.queue_trace else None,
-    )
-    csv_path = out / f"latency_{result.arm}.csv"
-    export_csv(result.records, csv_path)
+    with _writing_outputs():
+        result = run_scenario(
+            cfg,
+            trace_path=out / "trace.csv" if args.trace else None,
+            depth_trace_path=out / "queue_trace.csv" if args.queue_trace else None,
+        )
+        csv_path = out / f"latency_{result.arm}.csv"
+        export_csv(result.records, csv_path)
     print(format_summary(result.arm, result.summary))
     print(f"events dispatched: {result.stats.events_dispatched}")
     print(f"wrote {csv_path}")
@@ -86,7 +102,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_suite(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
-    suite = run_experiment_suite(cfg, out)
+    with _writing_outputs():
+        suite = run_experiment_suite(cfg, out)
     print(suite.table)
     for arm, path in suite.csv_paths.items():
         print(f"wrote {path}")

@@ -200,13 +200,16 @@ class EgressPort:
         self.credit = CreditState(idle_slope, rate)
         self.depth_trace = depth_trace
         self.on_drop: Callable[[EthFrame], None] | None = None
+        # Opt-in transmission log: set to a list before the run to collect one
+        # (start_ns, wire_bits, is_avb) entry per transmission.  None keeps
+        # no per-transmission state.
+        self.tx_log: list[tuple[int, int, bool]] | None = None
         self.transmitted = 0
-        self.tx_log: list[tuple[int, int, bool]] = []  # (start_ns, wire bits, is_avb)
         self._tx_frame: EthFrame | None = None
         self._tx_is_avb = False
         self._wakeup: Event | None = None
-        # (payload_len, tagged) -> (wire_bits, eth_wire_time) on this link
-        self._wire_costs: dict[tuple[int, bool], tuple[int, int]] = {}
+        # (payload_len, tagged) -> eth_wire_time on this link
+        self._wire_times: dict[tuple[int, bool], int] = {}
         sim.register(name, self._handle)
 
     @property
@@ -256,14 +259,11 @@ class EgressPort:
         self._tx_frame = frame
         self._tx_is_avb = is_avb
         key = (frame.payload_len, is_avb)
-        cost = self._wire_costs.get(key)
-        if cost is None:
-            cost = self._wire_costs[key] = (
-                wire_bits(frame.payload_len, is_avb),
-                eth_wire_time(frame.payload_len, is_avb, self.rate),
-            )
-        bits, duration = cost
-        self.tx_log.append((now, bits, is_avb))
+        duration = self._wire_times.get(key)
+        if duration is None:
+            duration = self._wire_times[key] = eth_wire_time(frame.payload_len, is_avb, self.rate)
+        if self.tx_log is not None:
+            self.tx_log.append((now, wire_bits(frame.payload_len, is_avb), is_avb))
         self.sim.schedule(self.name, "tx_complete", now + duration)
         if self.depth_trace is not None:
             self._trace_depth(now)

@@ -93,7 +93,9 @@ class LatencyRecorder:
 
 def export_csv(records: list[LatencyRecord], path: str | Path) -> None:
     """Write records in creation-time order; byte output is deterministic."""
-    rows = sorted(records, key=attrgetter("created_at", "seq"))
+    # Two stable sorts give (created_at, seq) order without a key tuple per record.
+    rows = sorted(records, key=attrgetter("seq"))
+    rows.sort(key=attrgetter("created_at"))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)

@@ -14,6 +14,7 @@ backbone to the listener, and a disabled jamming talker on switch 1.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -519,11 +520,10 @@ def run_scenario(
     depth_trace_path: str | Path | None = None,
 ) -> ScenarioResult:
     """Build, run to cfg.duration, and summarize one scenario."""
-    trace_file = open(trace_path, "w") if trace_path else None
-    depth_file = open(depth_trace_path, "w") if depth_trace_path else None
-    try:
+    with ExitStack() as files:
         trace = None
-        if trace_file:
+        if trace_path:
+            trace_file = files.enter_context(open(trace_path, "w"))
             trace_file.write("time_ns,seq,target,kind\n")
             write = trace_file.write
 
@@ -531,7 +531,8 @@ def run_scenario(
                 write("%d,%d,%s,%s\n" % ev[:4])  # fire_at, seq, target, kind
 
         depth_trace = None
-        if depth_file:
+        if depth_trace_path:
+            depth_file = files.enter_context(open(depth_trace_path, "w"))
             depth_file.write("time_ns,port,avb_depth,be_depth,credit\n")
 
             def depth_trace(now: int, port: str, avb: int, be: int, credit: int) -> None:
@@ -539,13 +540,8 @@ def run_scenario(
 
         net = build_network(cfg, arm=arm, trace=trace, depth_trace=depth_trace)
         stats = net.run()
-    finally:
-        if trace_file:
-            trace_file.close()
-        if depth_file:
-            depth_file.close()
     summary = net.recorder.summarize(jam_frames=net.listener.jam_frames, drops=net.drops())
-    return ScenarioResult(net.arm, list(net.recorder.records), summary, stats, net)
+    return ScenarioResult(net.arm, net.recorder.records, summary, stats, net)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import pytest
 from canavbsim.canbus import CanBus, CanMessage, can_frame_time
 from canavbsim.core import Simulator
 from canavbsim.gateway import MalformedPayload, pack, packed_size, unpack
-from canavbsim.scenario import ARMS, ScenarioConfig, run_experiment_suite, run_scenario
+from canavbsim.scenario import ARMS, ScenarioConfig, build_network, run_experiment_suite
 
 SEED = 42
 DURATION = 1_000_000_000
@@ -86,8 +86,10 @@ def test_a4_bandwidth_guarantee_on_gw_egress():
         gw_pack_period=130_000,
         sender_period=114_000,
     )
-    result = run_scenario(cfg)
-    gw_port = next(p for p in result.network.ports if p.name == "port:gw->sw1")
+    net = build_network(cfg)
+    gw_port = next(p for p in net.ports if p.name == "port:gw->sw1")
+    gw_port.tx_log = []
+    net.run()
     avb_tx = [(start, bits) for start, bits, is_avb in gw_port.tx_log if is_avb]
     window = 100_000_000
     budget = 20_000_000 * window // 10**9 + 12_336

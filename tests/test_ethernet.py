@@ -168,6 +168,8 @@ def test_store_and_forward_chain_latency():
     sw1.add_port(p1)
     sw1.set_route("listener", p1.name)
     p0 = EgressPort(sim, "port:gw->sw1", RATE, 20_000_000, peer=sw1)
+    for p in (p0, p1, p2):
+        p.tx_log = []
     sim.register("drv", lambda ev: p0.enqueue(frame(pcp=AVB_PCP), ev.fire_at))
     sim.schedule("drv", "go", 0)
     sim.run_until(10_000_000)
@@ -241,6 +243,7 @@ def test_bandwidth_guarantee_over_any_window():
     # Saturated port: AVB wire bits in any window of >= 100 ms must not
     # exceed idle_slope * window + one max frame (12,336 bits).
     h = SaturatedPortHarness()
+    h.port.tx_log = []
     h.run(1_000_000_000)
     window = 100_000_000
     budget = 20_000_000 * window // 10**9 + 12_336
@@ -256,6 +259,7 @@ def test_bandwidth_guarantee_over_any_window():
 
 def test_no_starvation_and_work_conservation_when_saturated():
     h = SaturatedPortHarness()
+    h.port.tx_log = []
     h.run(1_000_000_000)
     log = h.port.tx_log
     # work conservation: with both queues always backlogged the link never
@@ -299,6 +303,7 @@ def test_cached_wire_costs_match_wire_bits_and_eth_wire_time():
     sim = Simulator()
     sink = Sink()
     port = EgressPort(sim, "p", RATE, 75_000_000, peer=sink)
+    port.tx_log = []
     lengths = [100, 100, 46, 1500, 100, 46, 1500, 100]
     for i, payload_len in enumerate(lengths):
         port.enqueue(frame(pcp=AVB_PCP if i % 2 else 0, payload_len=payload_len), 0)

@@ -119,3 +119,19 @@ def test_export_deterministic_bytes_and_roundtrip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert len(p1.read_text().splitlines()) == 335
     assert read_csv(p1) == sorted(records, key=lambda r: (r.created_at, r.seq))
+
+
+def test_export_order_equals_created_at_seq_tuple_order(tmp_path):
+    # Shuffled input with tied created_at values and tied (created_at, seq)
+    # pairs; tied records differ in can_id and delivered_at, so the records
+    # read back show their relative order.
+    rng = random.Random(5)
+    records = [
+        rec(rng.randrange(4), rng.randrange(3) * 1_000, 10_000 + i, can_id=i)
+        for i in range(200)
+    ]
+    rng.shuffle(records)
+    path = tmp_path / "out.csv"
+    export_csv(records, path)
+    expected = sorted(records, key=lambda r: (r.created_at, r.seq))
+    assert read_csv(path) == expected

@@ -273,3 +273,28 @@ def test_cli_out_naming_a_file_is_a_runtime_error(tmp_path, capsys):
     code = cli_main(["run", cfg, "--out", str(taken)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: OutputDirError:")
+
+
+def test_run_scenario_shares_the_recorder_records():
+    result = run_scenario(ScenarioConfig(duration=10_000_000))
+    assert result.records is result.network.recorder.records
+
+
+@pytest.mark.parametrize(
+    "command,flags,taken",
+    [
+        ("run", ["--trace"], "trace.csv"),
+        ("run", [], "latency_AVB_nature.csv"),
+        ("suite", [], "comparison.txt"),
+    ],
+)
+def test_cli_output_file_error_is_a_runtime_error(tmp_path, capsys, command, flags, taken):
+    # A directory already holds the output file's name.
+    cfg = write_cfg(tmp_path, "[sim]\nduration = 10ms\n")
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    code = cli_main([command, cfg, *flags, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OutputFileError:")
+    assert str(out / taken) in err
