@@ -1,61 +1,25 @@
 """Deterministic discrete-event simulator for mixed CAN / Ethernet-AVB networks."""
 
-from .canbus import CanBus, CanMessage, arbitrate, can_frame_time
-from .core import Simulator, stream_rng, uniform_draw
-from .ethernet import CreditState, EgressPort, EthFrame, PortQueueSet, Switch, eth_wire_time, select_next_frame
-from .gateway import Gateway, GwConfig, pack, unpack
-from .metrics import LatencyRecord, LatencyRecorder, RunSummary, export_csv, read_csv
 from .scenario import (
     ARMS,
     ScenarioConfig,
     arm_config,
-    arm_name,
     build_network,
     load_config,
     parse_config,
     run_experiment_suite,
     run_scenario,
 )
-from .traffic import JammingTalker, JammingTalkerCfg, Listener, PeriodicCanSender, PeriodicCanSenderCfg
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ARMS",
-    "CanBus",
-    "CanMessage",
-    "CreditState",
-    "EgressPort",
-    "EthFrame",
-    "Gateway",
-    "GwConfig",
-    "JammingTalker",
-    "JammingTalkerCfg",
-    "LatencyRecord",
-    "LatencyRecorder",
-    "Listener",
-    "PeriodicCanSender",
-    "PeriodicCanSenderCfg",
-    "PortQueueSet",
-    "RunSummary",
     "ScenarioConfig",
-    "Simulator",
-    "Switch",
-    "arbitrate",
     "arm_config",
-    "arm_name",
     "build_network",
-    "can_frame_time",
-    "eth_wire_time",
-    "export_csv",
     "load_config",
-    "pack",
     "parse_config",
-    "read_csv",
     "run_experiment_suite",
     "run_scenario",
-    "select_next_frame",
-    "stream_rng",
-    "uniform_draw",
-    "unpack",
 ]

@@ -16,6 +16,7 @@ from .scenario import (
     parse_duration,
     run_experiment_suite,
     run_scenario,
+    validate_config,
 )
 
 
@@ -45,6 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:
+    """The config with the flags' overrides, validated before any output is touched."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     if args.seed is not None:
         cfg.seed = args.seed
@@ -52,7 +54,7 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
         cfg.duration = parse_duration(args.duration)
     if args.out is not None:
         cfg.out_dir = args.out
-    return cfg
+    return validate_config(cfg)
 
 
 class OutputDirError(SimulationError):

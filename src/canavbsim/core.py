@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, NamedTuple
 
-NS_PER_US = 1_000
-NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
 
 # Builds an Event from a ready tuple without the NamedTuple __new__ call.

@@ -136,19 +136,18 @@ class CreditState:
 class PortQueueSet:
     """The AVB and best-effort FIFOs of one egress port, with counters."""
 
-    def __init__(self, avb_cap: int | None = None, be_cap: int | None = None, avb_pcp: int = AVB_PCP):
+    def __init__(self, avb_cap: int | None = None, be_cap: int | None = None):
         self.avb_q: deque[EthFrame] = deque()
         self.be_q: deque[EthFrame] = deque()
         self.avb_cap = avb_cap
         self.be_cap = be_cap
-        self.avb_pcp = avb_pcp
         self.offered = 0
         self.dropped = 0
 
     def enqueue(self, frame: EthFrame) -> bool:
         """Classify by pcp and append; returns False on tail drop."""
         self.offered += 1
-        if frame.pcp == self.avb_pcp:
+        if frame.pcp == AVB_PCP:
             q, cap = self.avb_q, self.avb_cap
         else:
             q, cap = self.be_q, self.be_cap
@@ -189,14 +188,13 @@ class EgressPort:
         peer: Any = None,
         avb_cap: int | None = None,
         be_cap: int | None = None,
-        avb_pcp: int = AVB_PCP,
         depth_trace: Callable[[int, str, int, int, int], None] | None = None,
     ):
         self.sim = sim
         self.name = name
         self.rate = rate
         self.peer = peer
-        self.queues = PortQueueSet(avb_cap, be_cap, avb_pcp)
+        self.queues = PortQueueSet(avb_cap, be_cap)
         self.credit = CreditState(idle_slope, rate)
         self.depth_trace = depth_trace
         self.on_drop: Callable[[EthFrame], None] | None = None
@@ -251,7 +249,7 @@ class EgressPort:
                     self.name, "credit_ready", now + self.credit.replenish_delay()
                 )
             return
-        is_avb = frame.pcp == queues.avb_pcp
+        is_avb = frame.pcp == AVB_PCP
         (queues.avb_q if is_avb else queues.be_q).popleft()
         if self._wakeup is not None:
             self.sim.cancel(self._wakeup)

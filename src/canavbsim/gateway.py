@@ -37,9 +37,6 @@ _RECORD = struct.Struct("<IBQ")
 RECORD_OVERHEAD = _RECORD.size  # 13 bytes before the data field
 COUNT_SIZE = _COUNT.size
 
-CAN_DERIVED = "can_derived"
-OTHER = "other"
-
 
 class GatewayError(SimulationError):
     pass
@@ -106,26 +103,14 @@ class GwConfig:
 
     pack_period: int = 500_000
     mtu_payload: int = MAX_PAYLOAD
-    class_for_can: int = AVB_PCP
-    be_pcp: int = 0
+    class_for_can: int = AVB_PCP  # pcp of every frame the gateway emits
     queue_cap: int | None = None
 
     def __post_init__(self):
         if self.pack_period <= 0:
             raise GatewayError(f"pack_period must be positive, got {self.pack_period}")
-        if self.class_for_can == self.be_pcp:
-            raise GatewayError("class_for_can must differ from be_pcp")
         if not COUNT_SIZE + RECORD_OVERHEAD <= self.mtu_payload <= MAX_PAYLOAD:
             raise GatewayError(f"mtu_payload {self.mtu_payload} cannot hold a record")
-
-    def classify(self, origin: str) -> int:
-        """pcp for a frame of the given origin: CAN-bearing frames ride the
-        configured class, everything else is best-effort."""
-        if origin == CAN_DERIVED:
-            return self.class_for_can
-        if origin == OTHER:
-            return self.be_pcp
-        raise GatewayError(f"unknown frame origin {origin!r}")
 
 
 class Gateway:
@@ -144,7 +129,6 @@ class Gateway:
         self.fifo: deque[CanMessage] = deque()
         self.overflow_drops = 0
         self.frames_sent = 0
-        self.messages_packed = 0
         self.ignored_eth_frames = 0
         self.eth_port: EgressPort | None = None
         sim.register(name, self._handle)
@@ -186,11 +170,10 @@ class Gateway:
             batch.append(fifo.popleft())
         payload = pack(batch, limit)
         self.frames_sent += 1
-        self.messages_packed += len(batch)
         return EthFrame(
             src=self.name,
             dst=self.dst,
-            pcp=self.cfg.classify(CAN_DERIVED),
+            pcp=self.cfg.class_for_can,
             payload_len=max(MIN_PAYLOAD, len(payload)),
             payload=payload,
             ethertype=ETHERTYPE_CAN_TUNNEL,

@@ -18,6 +18,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .canbus import STUFFING_MODELS, STUFFING_NONE, CAN_MAX_ID, CanBus
 from .core import NS_PER_SEC, Event, RunStats, SimulationError, Simulator, stream_rng
@@ -60,6 +61,10 @@ def _scaled_int(text: str, units: dict[str, int], what: str) -> int:
         if raw.endswith(suffix):
             raw, mult = raw[: -len(suffix)].strip(), units[suffix]
             break
+    # Fraction builds 10**exponent, so a huge exponent would run for minutes.
+    _, e, exponent = raw.partition("e")
+    if e and len(exponent.lstrip("+-").replace("_", "").lstrip("0")) > 2:
+        raise ValidationError(f"{what} {text!r} has an exponent beyond ±99")
     try:
         value = Fraction(raw) * mult
     except (ValueError, ZeroDivisionError):
@@ -107,90 +112,50 @@ def _parse_bool(text: str) -> bool:
     raise ValidationError(f"cannot parse boolean {text!r}")
 
 
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
-# key -> (attribute path, converter).  Having one table keeps "unknown key"
-# checking and documentation in a single place.
-_CONFIG_KEYS = {
-    "sim.seed": ("seed", _parse_int),
-    "sim.duration": ("duration", parse_duration),
-    "can.bitrate": ("can_bitrate", parse_rate),
-    "can.stuffing_model": ("can_stuffing_model", _parse_str),
-    "can.node_queue_cap": ("can_node_queue_cap", _parse_optional_int),
-    "ethernet.rate": ("eth_rate", parse_rate),
-    "switches.count": ("switch_count", _parse_int),
-    "switches.forwarding_latency": ("forwarding_latency", parse_duration),
-    "switches.idle_slope": ("idle_slope", parse_rate),
-    "switches.avb_queue_cap": ("avb_queue_cap", _parse_optional_int),
-    "switches.be_queue_cap": ("be_queue_cap", _parse_optional_int),
-    "gateway.pack_period": ("gw_pack_period", parse_duration),
-    "gateway.mtu_payload": ("gw_mtu_payload", _parse_int),
-    "gateway.class_for_can": ("gw_class_for_can", _parse_int),
-    "gateway.be_pcp": ("gw_be_pcp", _parse_int),
-    "gateway.queue_cap": ("gw_queue_cap", _parse_optional_int),
-    "traffic.sender.can_id": ("sender_can_id", _parse_int),
-    "traffic.sender.dlc": ("sender_dlc", _parse_int),
-    "traffic.sender.period": ("sender_period", parse_duration),
-    "traffic.sender.start": ("sender_start", parse_duration),
-    "traffic.sender.count_limit": ("sender_count_limit", _parse_optional_int),
-    "traffic.jammer.enabled": ("jammer_enabled", _parse_bool),
-    "traffic.jammer.frame_total_bytes": ("jammer_frame_total_bytes", _parse_int),
-    "traffic.jammer.period_lo": ("jammer_period_lo", parse_duration),
-    "traffic.jammer.period_hi": ("jammer_period_hi", parse_duration),
-    "traffic.jammer.pcp": ("jammer_pcp", _parse_int),
-    "traffic.jammer.attach_switch": ("jammer_attach_switch", _parse_int),
-    "traffic.jammer.link_rate": ("jammer_link_rate", _parse_optional_rate),
-    "output.dir": ("out_dir", _parse_str),
-}
+def _key(key: str, convert: Callable[[str], object], default: object):
+    """A ScenarioConfig field set by the INI ``key`` through ``convert``."""
+    return field(default=default, metadata={"key": key, "convert": convert})
 
 
 @dataclass
 class ScenarioConfig:
-    """Flat scenario parameters; defaults reproduce the reference scenario."""
+    """Flat scenario parameters; defaults reproduce the reference scenario.
+    Each field's metadata holds its INI key and converter."""
 
-    seed: int = 42
-    duration: int = NS_PER_SEC
-    can_bitrate: int = 1_000_000
-    can_stuffing_model: str = STUFFING_NONE
-    can_node_queue_cap: int | None = None
-    eth_rate: int = 100_000_000
-    switch_count: int = 2
-    forwarding_latency: int = 5_000
-    idle_slope: int = 20_000_000
-    avb_queue_cap: int | None = None
-    be_queue_cap: int | None = None
-    gw_pack_period: int = 500_000
-    gw_mtu_payload: int = 1500
-    gw_class_for_can: int = AVB_PCP
-    gw_be_pcp: int | None = None  # auto: 0, or 1 when CAN rides pcp 0
-    gw_queue_cap: int | None = None
-    sender_can_id: int = 0x100
-    sender_dlc: int = 8
-    sender_period: int = 3_000_000
-    sender_start: int = 0
-    sender_count_limit: int | None = None
-    jammer_enabled: bool = False
-    jammer_frame_total_bytes: int = 1470
-    jammer_period_lo: int = 1_000
-    jammer_period_hi: int = 25_000
-    jammer_pcp: int = 0
-    jammer_attach_switch: int = 1
-    jammer_link_rate: int | None = None
-    out_dir: str | None = None
-
-    def resolved_be_pcp(self) -> int:
-        if self.gw_be_pcp is not None:
-            return self.gw_be_pcp
-        return 1 if self.gw_class_for_can == 0 else 0
+    seed: int = _key("sim.seed", _parse_int, 42)
+    duration: int = _key("sim.duration", parse_duration, NS_PER_SEC)
+    can_bitrate: int = _key("can.bitrate", parse_rate, 1_000_000)
+    can_stuffing_model: str = _key("can.stuffing_model", str.strip, STUFFING_NONE)
+    can_node_queue_cap: int | None = _key("can.node_queue_cap", _parse_optional_int, None)
+    eth_rate: int = _key("ethernet.rate", parse_rate, 100_000_000)
+    switch_count: int = _key("switches.count", _parse_int, 2)
+    forwarding_latency: int = _key("switches.forwarding_latency", parse_duration, 5_000)
+    idle_slope: int = _key("switches.idle_slope", parse_rate, 20_000_000)
+    avb_queue_cap: int | None = _key("switches.avb_queue_cap", _parse_optional_int, None)
+    be_queue_cap: int | None = _key("switches.be_queue_cap", _parse_optional_int, None)
+    gw_pack_period: int = _key("gateway.pack_period", parse_duration, 500_000)
+    gw_mtu_payload: int = _key("gateway.mtu_payload", _parse_int, 1500)
+    gw_class_for_can: int = _key("gateway.class_for_can", _parse_int, AVB_PCP)
+    gw_queue_cap: int | None = _key("gateway.queue_cap", _parse_optional_int, None)
+    sender_can_id: int = _key("traffic.sender.can_id", _parse_int, 0x100)
+    sender_dlc: int = _key("traffic.sender.dlc", _parse_int, 8)
+    sender_period: int = _key("traffic.sender.period", parse_duration, 3_000_000)
+    sender_start: int = _key("traffic.sender.start", parse_duration, 0)
+    sender_count_limit: int | None = _key("traffic.sender.count_limit", _parse_optional_int, None)
+    jammer_enabled: bool = _key("traffic.jammer.enabled", _parse_bool, False)
+    jammer_frame_total_bytes: int = _key("traffic.jammer.frame_total_bytes", _parse_int, 1470)
+    jammer_period_lo: int = _key("traffic.jammer.period_lo", parse_duration, 1_000)
+    jammer_period_hi: int = _key("traffic.jammer.period_hi", parse_duration, 25_000)
+    jammer_pcp: int = _key("traffic.jammer.pcp", _parse_int, 0)
+    jammer_attach_switch: int = _key("traffic.jammer.attach_switch", _parse_int, 1)
+    jammer_link_rate: int | None = _key("traffic.jammer.link_rate", _parse_optional_rate, None)
+    out_dir: str | None = _key("output.dir", str.strip, None)
 
     def gateway_config(self) -> GwConfig:
         return GwConfig(
             pack_period=self.gw_pack_period,
             mtu_payload=self.gw_mtu_payload,
             class_for_can=self.gw_class_for_can,
-            be_pcp=self.resolved_be_pcp(),
             queue_cap=self.gw_queue_cap,
         )
 
@@ -214,6 +179,10 @@ class ScenarioConfig:
         )
 
 
+# INI key -> its ScenarioConfig field; "unknown key" means absent here.
+_FIELDS_BY_KEY = {f.metadata["key"]: f for f in dataclasses.fields(ScenarioConfig)}
+
+
 def arm_name(cfg: ScenarioConfig) -> str:
     kind = "AVB" if cfg.gw_class_for_can == AVB_PCP else "Eth"
     return f"{kind}_{'jam' if cfg.jammer_enabled else 'nature'}"
@@ -227,7 +196,6 @@ def arm_config(base: ScenarioConfig, arm: str) -> ScenarioConfig:
     return dataclasses.replace(
         base,
         gw_class_for_can=AVB_PCP if kind == "AVB" else 0,
-        gw_be_pcp=None,
         jammer_enabled=(load == "jam"),
     )
 
@@ -255,19 +223,11 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         "switches.idle_slope must be positive and below the link rate",
     )
     need(0 <= cfg.gw_class_for_can <= 7, "gateway.class_for_can must be a pcp in 0..7")
-    need(
-        cfg.gw_be_pcp is None or 0 <= cfg.gw_be_pcp <= 7,
-        "gateway.be_pcp must be a pcp in 0..7",
-    )
     need(0 <= cfg.sender_can_id <= CAN_MAX_ID, "traffic.sender.can_id must fit 11 bits")
     need(0 <= cfg.jammer_pcp <= 7, "traffic.jammer.pcp must be a pcp in 0..7")
     need(
         1 <= cfg.jammer_attach_switch <= cfg.switch_count,
         "traffic.jammer.attach_switch must name an existing switch",
-    )
-    need(
-        cfg.jammer_period_lo <= cfg.jammer_period_hi,
-        "traffic.jammer.period_lo must not exceed period_hi",
     )
     need(
         cfg.jammer_link_rate is None or cfg.jammer_link_rate >= 2,
@@ -306,16 +266,16 @@ def parse_config(text: str) -> ScenarioConfig:
         if not key:
             raise ParseError(lineno, "missing key before '='")
         full_key = f"{section}.{key}" if section else key
-        if full_key not in _CONFIG_KEYS:
+        spec = _FIELDS_BY_KEY.get(full_key)
+        if spec is None:
             raise ValidationError(f"line {lineno}: unknown config key {full_key!r}")
         if full_key in seen:
             raise ValidationError(
                 f"line {lineno}: {full_key!r} already set on line {seen[full_key]}"
             )
         seen[full_key] = lineno
-        attr, convert = _CONFIG_KEYS[full_key]
         try:
-            setattr(cfg, attr, convert(value))
+            setattr(cfg, spec.name, spec.metadata["convert"](value))
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {full_key}: {exc}") from None
     return validate_config(cfg)
@@ -334,21 +294,85 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 class Network:
-    """A wired topology ready to run, with conservation accounting."""
+    """The chain topology CAN bus -> gw -> sw1..swN -> listener, with the
+    jamming talker hanging off its configured switch, wired and ready to
+    run, with conservation accounting."""
 
-    def __init__(self, cfg: ScenarioConfig, arm: str, sim: Simulator):
+    def __init__(self, cfg: ScenarioConfig, trace=None, depth_trace=None):
         self.cfg = cfg
-        self.arm = arm
-        self.sim = sim
-        self.bus: CanBus | None = None
-        self.sender: PeriodicCanSender | None = None
-        self.gw: Gateway | None = None
-        self.switches: list[Switch] = []
-        self.talker: JammingTalker | None = None
-        self.listener: Listener | None = None
-        self.recorder: LatencyRecorder | None = None
-        self.ports: list[EgressPort] = []
+        self.arm = arm_name(cfg)
+        self.sim = sim = Simulator(trace=trace)
         self.records_in_dropped_frames = 0
+        self.ports: list[EgressPort] = []
+        self.recorder = LatencyRecorder()
+        self.listener = Listener("listener", self.recorder, arm=self.arm)
+        self.bus = CanBus(
+            sim,
+            "canbus",
+            bitrate=cfg.can_bitrate,
+            stuffing_model=cfg.can_stuffing_model,
+            node_queue_cap=cfg.can_node_queue_cap,
+        )
+        self.sender = PeriodicCanSender(sim, "sender", cfg.sender_config(), self.bus)
+        self.gw = Gateway(sim, "gw", cfg.gateway_config(), dst="listener")
+        self.bus.attach("gw", self.gw.on_can_received)
+        self.switches = [
+            Switch(sim, f"sw{i}", cfg.forwarding_latency) for i in range(1, cfg.switch_count + 1)
+        ]
+
+        def backbone_port(name: str, peer) -> EgressPort:
+            return self._add_port(EgressPort(
+                sim,
+                name,
+                rate=cfg.eth_rate,
+                idle_slope=cfg.idle_slope,
+                peer=peer,
+                avb_cap=cfg.avb_queue_cap,
+                be_cap=cfg.be_queue_cap,
+                depth_trace=depth_trace,
+            ))
+
+        # Gateway NIC toward the first switch.
+        self.gw.eth_port = backbone_port("port:gw->sw1", self.switches[0])
+
+        # Full-duplex chain between the switches and on to the listener.
+        chain = [self.gw] + self.switches + [self.listener]
+        for left, sw, right in zip(chain, chain[1:], chain[2:]):
+            left_port = backbone_port(f"port:{sw.name}->{left.name}", left)
+            right_port = backbone_port(f"port:{sw.name}->{right.name}", right)
+            sw.add_port(left_port)
+            sw.add_port(right_port)
+            # Chain routing: the listener lives to the right, the gateway to
+            # the left of every switch.
+            sw.set_route("listener", right_port.name)
+            sw.set_route("gw", left_port.name)
+
+        self.talker: JammingTalker | None = None
+        if cfg.jammer_enabled:
+            attach = self.switches[cfg.jammer_attach_switch - 1]
+            rng = stream_rng(cfg.seed, "talker")
+            jcfg = cfg.jammer_config()
+            egress = attach
+            if jcfg.link_rate is not None:
+                egress = self._add_port(EgressPort(
+                    sim,
+                    f"port:talker->{attach.name}",
+                    rate=jcfg.link_rate,
+                    # The talker only emits best-effort frames; clamp the slope
+                    # so a slow access link still has a valid shaper config.
+                    idle_slope=min(cfg.idle_slope, jcfg.link_rate - 1),
+                    peer=attach,
+                    depth_trace=depth_trace,
+                ))
+            self.talker = JammingTalker(sim, "talker", jcfg, rng, egress)
+
+    def _add_port(self, port: EgressPort) -> EgressPort:
+        port.on_drop = self._count_dropped_records
+        self.ports.append(port)
+        return port
+
+    def _count_dropped_records(self, frame: EthFrame) -> None:
+        self.records_in_dropped_frames += self._records_in(frame)
 
     def start(self) -> None:
         self.gw.start()
@@ -413,95 +437,9 @@ class Network:
         return out
 
 
-def build_network(
-    cfg: ScenarioConfig,
-    arm: str | None = None,
-    trace=None,
-    depth_trace=None,
-) -> Network:
-    """Construct the chain topology: CAN bus -> gw -> sw1..swN -> listener,
-    with the jamming talker hanging off its configured switch."""
-    validate_config(cfg)
-    label = arm if arm is not None else arm_name(cfg)
-    sim = Simulator(trace=trace)
-    net = Network(cfg, label, sim)
-
-    net.recorder = LatencyRecorder()
-    net.listener = Listener("listener", net.recorder, arm=label)
-
-    net.bus = CanBus(
-        sim,
-        "canbus",
-        bitrate=cfg.can_bitrate,
-        stuffing_model=cfg.can_stuffing_model,
-        node_queue_cap=cfg.can_node_queue_cap,
-    )
-    net.sender = PeriodicCanSender(sim, "sender", cfg.sender_config(), net.bus)
-    net.gw = Gateway(sim, "gw", cfg.gateway_config(), dst="listener")
-    net.bus.attach("gw", net.gw.on_can_received)
-
-    net.switches = [
-        Switch(sim, f"sw{i}", cfg.forwarding_latency) for i in range(1, cfg.switch_count + 1)
-    ]
-
-    def new_port(name: str, peer) -> EgressPort:
-        port = EgressPort(
-            sim,
-            name,
-            rate=cfg.eth_rate,
-            idle_slope=cfg.idle_slope,
-            peer=peer,
-            avb_cap=cfg.avb_queue_cap,
-            be_cap=cfg.be_queue_cap,
-            depth_trace=depth_trace,
-        )
-        port.on_drop = net_count_dropped_records
-        net.ports.append(port)
-        return port
-
-    def net_count_dropped_records(frame: EthFrame) -> None:
-        net.records_in_dropped_frames += Network._records_in(frame)
-
-    # Gateway NIC toward the first switch.
-    net.gw.eth_port = new_port("port:gw->sw1", net.switches[0])
-
-    # Full-duplex chain between the switches and on to the listener.
-    chain = [net.gw] + net.switches + [net.listener]
-    names = ["gw"] + [sw.name for sw in net.switches] + ["listener"]
-    for i, sw in enumerate(net.switches, start=1):
-        left_obj, left_name = chain[i - 1], names[i - 1]
-        right_obj, right_name = chain[i + 1], names[i + 1]
-        left_port = new_port(f"port:{sw.name}->{left_name}", left_obj)
-        right_port = new_port(f"port:{sw.name}->{right_name}", right_obj)
-        sw.add_port(left_port)
-        sw.add_port(right_port)
-        # Chain routing: the listener lives to the right, the gateway to
-        # the left of every switch.
-        sw.set_route("listener", right_port.name)
-        sw.set_route("gw", left_port.name)
-
-    if cfg.jammer_enabled:
-        attach = net.switches[cfg.jammer_attach_switch - 1]
-        rng = stream_rng(cfg.seed, "talker")
-        jcfg = cfg.jammer_config()
-        if jcfg.link_rate is not None:
-            talker_port = EgressPort(
-                sim,
-                f"port:talker->{attach.name}",
-                rate=jcfg.link_rate,
-                # The talker only emits best-effort frames; clamp the slope
-                # so a slow access link still has a valid shaper config.
-                idle_slope=min(cfg.idle_slope, jcfg.link_rate - 1),
-                peer=attach,
-                depth_trace=depth_trace,
-            )
-            talker_port.on_drop = net_count_dropped_records
-            net.ports.append(talker_port)
-            net.talker = JammingTalker(sim, "talker", jcfg, rng, talker_port)
-        else:
-            net.talker = JammingTalker(sim, "talker", jcfg, rng, attach)
-
-    return net
+def build_network(cfg: ScenarioConfig, trace=None, depth_trace=None) -> Network:
+    """Validate cfg and wire its network."""
+    return Network(validate_config(cfg), trace, depth_trace)
 
 
 @dataclass
@@ -515,7 +453,6 @@ class ScenarioResult:
 
 def run_scenario(
     cfg: ScenarioConfig,
-    arm: str | None = None,
     trace_path: str | Path | None = None,
     depth_trace_path: str | Path | None = None,
 ) -> ScenarioResult:
@@ -538,7 +475,7 @@ def run_scenario(
             def depth_trace(now: int, port: str, avb: int, be: int, credit: int) -> None:
                 depth_file.write(f"{now},{port},{avb},{be},{credit}\n")
 
-        net = build_network(cfg, arm=arm, trace=trace, depth_trace=depth_trace)
+        net = build_network(cfg, trace=trace, depth_trace=depth_trace)
         stats = net.run()
     summary = net.recorder.summarize(jam_frames=net.listener.jam_frames, drops=net.drops())
     return ScenarioResult(net.arm, net.recorder.records, summary, stats, net)
@@ -574,7 +511,7 @@ def run_experiment_suite(
     results: dict[str, ScenarioResult] = {}
     csv_paths: dict[str, Path] = {}
     for arm in ARMS:
-        result = run_scenario(arm_config(base, arm), arm=arm)
+        result = run_scenario(arm_config(base, arm))
         path = out / f"fig3_{arm}.csv"
         export_csv(result.records, path)
         results[arm] = result

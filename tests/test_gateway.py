@@ -8,8 +8,6 @@ from canavbsim.canbus import CanMessage
 from canavbsim.core import Simulator
 from canavbsim.ethernet import ETHERTYPE_CAN_TUNNEL, AVB_PCP
 from canavbsim.gateway import (
-    CAN_DERIVED,
-    OTHER,
     Gateway,
     GatewayError,
     GwConfig,
@@ -101,17 +99,18 @@ def test_unpack_rejects_count_mismatch():
 def test_gwconfig_validates():
     with pytest.raises(GatewayError):
         GwConfig(pack_period=0)
-    with pytest.raises(GatewayError):
-        GwConfig(class_for_can=0, be_pcp=0)
 
 
 def test_classify_paper_scheduling_rule():
-    cfg = GwConfig()
-    assert cfg.classify(CAN_DERIVED) == 3
-    assert cfg.classify(OTHER) == 0
-    # best-effort override used by the Eth_nature / Eth_jam arms
-    eth_arm = GwConfig(class_for_can=0, be_pcp=1)
-    assert eth_arm.classify(CAN_DERIVED) == 0
+    # CAN-bearing frames ride the AVB class by default; the Eth_nature /
+    # Eth_jam arms put them in best-effort.
+    for cfg, pcp in ((GwConfig(), 3), (GwConfig(class_for_can=0), 0)):
+        sim, gw, sent = make_gw(cfg)
+        gw.on_can_received(CanMessage(0x100, bytes(8), 0), 0)
+        gw.start()
+        sim.run_until(0)
+        [(frame, _)] = sent
+        assert frame.pcp == pcp
 
 
 def make_gw(cfg=None):

@@ -1,6 +1,9 @@
 """Scenario tests: config parsing, arm selection, topology runs, CLI surface."""
 
 import dataclasses
+import re
+import time
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,14 @@ def test_parse_duration_units():
         parse_duration("fast")
 
 
+def test_huge_exponent_rejected_without_expanding_it():
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match="exponent"):
+        parse_config("sim.duration = 1e-100000000s\n")
+    assert time.perf_counter() - t0 < 1.0
+    assert parse_duration("2.5e3us") == 2_500_000
+
+
 def test_parse_rate_units():
     assert parse_rate("1000000") == 1_000_000
     assert parse_rate("100Mbps") == 100_000_000
@@ -44,6 +55,12 @@ def test_parse_rate_units():
 
 def test_empty_config_is_the_reference_scenario():
     assert parse_config("") == ScenarioConfig()
+
+
+def test_readme_ini_block_is_the_schema_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    assert parse_config(block) == ScenarioConfig(out_dir="results")
 
 
 def test_sections_and_dotted_keys_equivalent():
@@ -56,7 +73,6 @@ def test_sections_and_dotted_keys_equivalent():
 def test_eth_jam_arm_from_config_keys():
     cfg = parse_config("traffic.jammer.enabled=true\ngateway.class_for_can=0\n")
     assert arm_name(cfg) == "Eth_jam"
-    assert cfg.resolved_be_pcp() == 1  # auto-shifted off the CAN class
 
 
 def test_jammer_period_inversion_rejected():
@@ -87,7 +103,7 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_explicit_equal_pcp_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="unknown config key"):
         parse_config("gateway.class_for_can=0\ngateway.be_pcp=0\n")
 
 
@@ -103,7 +119,7 @@ def test_arm_configs_differ_only_in_two_knobs():
         assert arm_name(cfg) == arm
         neutral = dataclasses.replace(
             cfg, gw_class_for_can=base.gw_class_for_can,
-            gw_be_pcp=base.gw_be_pcp, jammer_enabled=base.jammer_enabled,
+            jammer_enabled=base.jammer_enabled,
         )
         assert neutral == base
 
@@ -243,6 +259,20 @@ def test_cli_rejects_horizon_beyond_u64_timestamps(tmp_path, capsys):
     code = cli_main(["run", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ValidationError:")
+
+
+def test_cli_override_validated_before_outputs_are_touched(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[sim]\nduration = 10ms\n")
+    out = tmp_path / "v"
+    assert cli_main(["run", cfg, "--trace", "--queue-trace", "--out", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in ("trace.csv", "queue_trace.csv")}
+    code = cli_main(
+        ["run", cfg, "--duration", "36893488147419200000ns", "--trace", "--queue-trace",
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ValidationError:")
+    assert {name: (out / name).read_bytes() for name in before} == before
 
 
 def test_cli_suite_runs_four_arms(tmp_path, capsys):
