@@ -1,4 +1,4 @@
-"""100-Mbps full-duplex Ethernet with store-and-forward switches.
+"""100-Mbps Ethernet with store-and-forward switches.
 
 Every egress port owns two FIFO queues (one shaped AVB queue, one
 best-effort queue) plus credit-based shaper state.  A frame classified into
@@ -80,8 +80,6 @@ class EthFrame:
     the same filler frame on every tick.
     """
 
-    src: str
-    dst: str
     pcp: int
     payload_len: int
     payload: bytes = b""
@@ -172,7 +170,7 @@ def select_next_frame(pq: PortQueueSet, cs: CreditState) -> EthFrame | None:
 
 
 class EgressPort:
-    """One transmit direction of a full-duplex link, with shaped queues.
+    """One transmit direction of a link, with shaped queues.
 
     ``peer`` is any object with on_frame_received(frame, now); delivery
     happens when serialization completes (zero propagation delay).  AVB
@@ -185,7 +183,7 @@ class EgressPort:
         name: str,
         rate: int,
         idle_slope: int,
-        peer: Any = None,
+        peer: Any,
         avb_cap: int | None = None,
         be_cap: int | None = None,
         depth_trace: Callable[[int, str, int, int, int], None] | None = None,
@@ -277,8 +275,7 @@ class EgressPort:
             self.transmitted += 1
             if self.depth_trace is not None:
                 self._trace_depth(ev.fire_at)
-            if self.peer is not None:
-                self.peer.on_frame_received(frame, ev.fire_at)
+            self.peer.on_frame_received(frame, ev.fire_at)
             self.kick(ev.fire_at)
         elif ev.kind == "credit_ready":
             self._wakeup = None
@@ -306,42 +303,27 @@ class EgressPort:
 
 
 class Switch:
-    """Store-and-forward switch: fixed per-frame processing delay, static
-    destination-to-port forwarding table, one shaped EgressPort per neighbor."""
+    """Store-and-forward switch: fixed per-frame processing delay, then the
+    frame is enqueued on the switch's one shaped egress port."""
 
-    def __init__(self, sim: Simulator, name: str, forwarding_latency: int):
+    def __init__(self, sim: Simulator, name: str, forwarding_latency: int, egress: EgressPort):
         self.sim = sim
         self.name = name
         self.forwarding_latency = forwarding_latency
-        self.ports: dict[str, EgressPort] = {}
-        self.routes: dict[str, str] = {}  # dst node -> port name
-        self.unknown_dst_drops = 0
+        self.egress = egress
         # Received, not yet enqueued at egress, in arrival order.  A constant
         # forwarding latency makes "forward" events fire in that same order.
         self.pending: deque[EthFrame] = deque()
         sim.register(name, self._handle)
 
-    def add_port(self, port: EgressPort) -> None:
-        self.ports[port.name] = port
-
-    def set_route(self, dst: str, port_name: str) -> None:
-        if port_name not in self.ports:
-            raise EthError(f"switch {self.name!r} has no port {port_name!r}")
-        self.routes[dst] = port_name
-
     def on_frame_received(self, frame: EthFrame, now: int) -> None:
         # Eligible for egress only after full reception; the processing
-        # delay then covers lookup and internal transfer.
+        # delay then covers internal transfer.
         self.pending.append(frame)
         self.sim.schedule(self.name, "forward", now + self.forwarding_latency, payload=frame)
 
     def _handle(self, ev: Event) -> None:
         if ev.kind != "forward":
             raise EthError(f"unexpected event kind {ev.kind!r}")
-        frame: EthFrame = ev.payload
         self.pending.popleft()
-        port_name = self.routes.get(frame.dst)
-        if port_name is None:
-            self.unknown_dst_drops += 1
-            return
-        self.ports[port_name].enqueue(frame, ev.fire_at)
+        self.egress.enqueue(ev.payload, ev.fire_at)

@@ -117,20 +117,18 @@ class Gateway:
     """The CAN-side FIFO plus the periodic packer feeding the Ethernet port.
 
     Every pack tick drains as many head-of-FIFO records as fit one MTU
-    payload into a single frame for the configured listener; an empty FIFO
-    emits nothing.  Leftover messages wait for the next tick.
+    payload into a single frame on ``eth_port``; an empty FIFO emits
+    nothing.  Leftover messages wait for the next tick.
     """
 
-    def __init__(self, sim: Simulator, name: str, cfg: GwConfig, dst: str):
+    def __init__(self, sim: Simulator, name: str, cfg: GwConfig, eth_port: EgressPort):
         self.sim = sim
         self.name = name
         self.cfg = cfg
-        self.dst = dst
+        self.eth_port = eth_port
         self.fifo: deque[CanMessage] = deque()
         self.overflow_drops = 0
         self.frames_sent = 0
-        self.ignored_eth_frames = 0
-        self.eth_port: EgressPort | None = None
         sim.register(name, self._handle)
 
     def start(self) -> None:
@@ -142,10 +140,6 @@ class Gateway:
             self.overflow_drops += 1
             return
         self.fifo.append(msg)
-
-    def on_frame_received(self, frame: EthFrame, now: int) -> None:
-        # Ethernet-to-CAN conversion is out of scope; count and drop.
-        self.ignored_eth_frames += 1
 
     def _handle(self, ev: Event) -> None:
         if ev.kind != "pack":
@@ -171,8 +165,6 @@ class Gateway:
         payload = pack(batch, limit)
         self.frames_sent += 1
         return EthFrame(
-            src=self.name,
-            dst=self.dst,
             pcp=self.cfg.class_for_can,
             payload_len=max(MIN_PAYLOAD, len(payload)),
             payload=payload,

@@ -29,6 +29,10 @@ from .traffic import JammingTalker, JammingTalkerCfg, Listener, PeriodicCanSende
 
 ARMS = ("Eth_nature", "Eth_jam", "AVB_nature", "AVB_jam")
 
+# Upper bound on switches.count: the whole chain is built before the first
+# event, so an unbounded count would exhaust memory instead of failing.
+MAX_SWITCHES = 1024
+
 
 class ConfigError(SimulationError):
     pass
@@ -173,7 +177,6 @@ class ScenarioConfig:
             frame_total_bytes=self.jammer_frame_total_bytes,
             period_lo=self.jammer_period_lo,
             period_hi=self.jammer_period_hi,
-            dst="listener",
             pcp=self.jammer_pcp,
             link_rate=self.jammer_link_rate,
         )
@@ -216,7 +219,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         f"can.stuffing_model must be one of {STUFFING_MODELS}",
     )
     need(cfg.eth_rate > 0, "ethernet.rate must be positive")
-    need(cfg.switch_count >= 1, "switches.count must be at least 1")
+    need(
+        1 <= cfg.switch_count <= MAX_SWITCHES,
+        f"switches.count must be in 1..{MAX_SWITCHES}",
+    )
     need(cfg.forwarding_latency >= 0, "switches.forwarding_latency must be non-negative")
     need(
         0 < cfg.idle_slope < cfg.eth_rate,
@@ -294,9 +300,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 class Network:
-    """The chain topology CAN bus -> gw -> sw1..swN -> listener, with the
+    """The one-way chain CAN bus -> gw -> sw1..swN -> listener, with the
     jamming talker hanging off its configured switch, wired and ready to
-    run, with conservation accounting."""
+    run, with conservation accounting.  Every hop owns one egress port;
+    ``ports`` lists them left to right, then the talker's access port."""
 
     def __init__(self, cfg: ScenarioConfig, trace=None, depth_trace=None):
         self.cfg = cfg
@@ -314,14 +321,9 @@ class Network:
             node_queue_cap=cfg.can_node_queue_cap,
         )
         self.sender = PeriodicCanSender(sim, "sender", cfg.sender_config(), self.bus)
-        self.gw = Gateway(sim, "gw", cfg.gateway_config(), dst="listener")
-        self.bus.attach("gw", self.gw.on_can_received)
-        self.switches = [
-            Switch(sim, f"sw{i}", cfg.forwarding_latency) for i in range(1, cfg.switch_count + 1)
-        ]
 
         def backbone_port(name: str, peer) -> EgressPort:
-            return self._add_port(EgressPort(
+            return self._track_port(EgressPort(
                 sim,
                 name,
                 rate=cfg.eth_rate,
@@ -332,20 +334,18 @@ class Network:
                 depth_trace=depth_trace,
             ))
 
-        # Gateway NIC toward the first switch.
-        self.gw.eth_port = backbone_port("port:gw->sw1", self.switches[0])
-
-        # Full-duplex chain between the switches and on to the listener.
-        chain = [self.gw] + self.switches + [self.listener]
-        for left, sw, right in zip(chain, chain[1:], chain[2:]):
-            left_port = backbone_port(f"port:{sw.name}->{left.name}", left)
-            right_port = backbone_port(f"port:{sw.name}->{right.name}", right)
-            sw.add_port(left_port)
-            sw.add_port(right_port)
-            # Chain routing: the listener lives to the right, the gateway to
-            # the left of every switch.
-            sw.set_route("listener", right_port.name)
-            sw.set_route("gw", left_port.name)
+        # Built from the listener back, so each hop's port exists before
+        # the hop that owns it; both lists are then put left to right.
+        hop = self.listener
+        switches: list[Switch] = []
+        for i in range(cfg.switch_count, 0, -1):
+            port = backbone_port(f"port:sw{i}->{hop.name}", hop)
+            hop = Switch(sim, f"sw{i}", cfg.forwarding_latency, port)
+            switches.append(hop)
+        self.gw = Gateway(sim, "gw", cfg.gateway_config(), backbone_port("port:gw->sw1", hop))
+        self.bus.attach("gw", self.gw.on_can_received)
+        self.switches = switches[::-1]
+        self.ports.reverse()
 
         self.talker: JammingTalker | None = None
         if cfg.jammer_enabled:
@@ -354,7 +354,7 @@ class Network:
             jcfg = cfg.jammer_config()
             egress = attach
             if jcfg.link_rate is not None:
-                egress = self._add_port(EgressPort(
+                egress = self._track_port(EgressPort(
                     sim,
                     f"port:talker->{attach.name}",
                     rate=jcfg.link_rate,
@@ -366,7 +366,7 @@ class Network:
                 ))
             self.talker = JammingTalker(sim, "talker", jcfg, rng, egress)
 
-    def _add_port(self, port: EgressPort) -> EgressPort:
+    def _track_port(self, port: EgressPort) -> EgressPort:
         port.on_drop = self._count_dropped_records
         self.ports.append(port)
         return port
@@ -426,9 +426,6 @@ class Network:
         for port in self.ports:
             if port.queues.dropped:
                 out[port.name] = port.queues.dropped
-        for sw in self.switches:
-            if sw.unknown_dst_drops:
-                out[f"{sw.name}:unknown_dst"] = sw.unknown_dst_drops
         if self.gw.overflow_drops:
             out["gw:fifo"] = self.gw.overflow_drops
         for node, n in self.bus.overflows.items():

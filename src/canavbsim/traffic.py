@@ -41,6 +41,8 @@ class PeriodicCanSenderCfg:
             raise TrafficError(f"sender period must be positive, got {self.period}")
         if not 0 <= self.dlc <= 8:
             raise TrafficError(f"sender dlc must be 0..8, got {self.dlc}")
+        if self.count_limit is not None and self.count_limit < 0:
+            raise TrafficError(f"sender count_limit must be non-negative, got {self.count_limit}")
 
 
 class PeriodicCanSender:
@@ -58,7 +60,9 @@ class PeriodicCanSender:
         sim.register(name, self._handle)
 
     def start(self) -> None:
-        self.sim.schedule(self.name, "tick", self.cfg.start)
+        # count_limit None is unbounded; 0 sends nothing.
+        if self.cfg.count_limit != 0:
+            self.sim.schedule(self.name, "tick", self.cfg.start)
 
     def _handle(self, ev: Event) -> None:
         if ev.kind != "tick":
@@ -85,7 +89,6 @@ class JammingTalkerCfg:
     frame_total_bytes: int = 1470
     period_lo: int = 1_000
     period_hi: int = 25_000
-    dst: str = "listener"
     pcp: int = 0
     link_rate: int | None = None
 
@@ -120,11 +123,8 @@ class JammingTalker:
         self.cfg = cfg
         self.rng = rng
         self.egress = egress
-        self.emitted = 0
         # Every tick hands over this one immutable frame.
         self.frame = EthFrame(
-            src=name,
-            dst=cfg.dst,
             pcp=cfg.pcp,
             payload_len=cfg.payload_len,
             ethertype=ETHERTYPE_FILLER,
@@ -140,7 +140,6 @@ class JammingTalker:
             raise TrafficError(f"unexpected event kind {ev.kind!r}")
         now = ev.fire_at
         self._send(self.frame, now)
-        self.emitted += 1
         cfg = self.cfg
         self.sim.schedule(self.name, "tick", now + uniform_draw(self.rng, cfg.period_lo, cfg.period_hi))
 

@@ -20,8 +20,8 @@ from canavbsim.ethernet import (
 RATE = 100_000_000
 
 
-def frame(pcp=0, payload_len=46, dst="listener", src="x"):
-    return EthFrame(src=src, dst=dst, pcp=pcp, payload_len=payload_len)
+def frame(pcp=0, payload_len=46):
+    return EthFrame(pcp=pcp, payload_len=payload_len)
 
 
 # (8+14+payload+4+12 bytes) * 8 bits at 10 ns/bit, +4 bytes when tagged
@@ -131,11 +131,9 @@ class Sink:
 
 def test_switch_forward_classifies_and_delays():
     sim = Simulator()
-    sw = Switch(sim, "sw1", forwarding_latency=5_000)
     sink = Sink()
     port = EgressPort(sim, "port:sw1->listener", RATE, 20_000_000, peer=sink)
-    sw.add_port(port)
-    sw.set_route("listener", port.name)
+    sw = Switch(sim, "sw1", forwarding_latency=5_000, egress=port)
     sw.on_frame_received(frame(pcp=AVB_PCP), 0)
     sw.on_frame_received(frame(pcp=0), 0)
     sim.run_until(4_999)
@@ -145,28 +143,15 @@ def test_switch_forward_classifies_and_delays():
     assert port.transmitted == 2
 
 
-def test_switch_unknown_destination_dropped_and_counted():
-    sim = Simulator()
-    sw = Switch(sim, "sw1", forwarding_latency=5_000)
-    sw.on_frame_received(frame(dst="nowhere"), 0)
-    sim.run_until(1_000_000)
-    assert sw.unknown_dst_drops == 1
-    assert not sw.pending
-
-
 def test_store_and_forward_chain_latency():
     # gw port -> sw1 (5us) -> sw2 (5us) -> listener, minimal tagged frames:
     # 3 * 7.04us wire + 2 * 5us forwarding = 31.12us end to end.
     sim = Simulator()
     sink = Sink()
-    sw2 = Switch(sim, "sw2", 5_000)
-    sw1 = Switch(sim, "sw1", 5_000)
     p2 = EgressPort(sim, "port:sw2->listener", RATE, 20_000_000, peer=sink)
-    sw2.add_port(p2)
-    sw2.set_route("listener", p2.name)
+    sw2 = Switch(sim, "sw2", 5_000, p2)
     p1 = EgressPort(sim, "port:sw1->sw2", RATE, 20_000_000, peer=sw2)
-    sw1.add_port(p1)
-    sw1.set_route("listener", p1.name)
+    sw1 = Switch(sim, "sw1", 5_000, p1)
     p0 = EgressPort(sim, "port:gw->sw1", RATE, 20_000_000, peer=sw1)
     for p in (p0, p1, p2):
         p.tx_log = []

@@ -115,7 +115,6 @@ def test_classify_paper_scheduling_rule():
 
 def make_gw(cfg=None):
     sim = Simulator()
-    gw = Gateway(sim, "gw", cfg or GwConfig(), dst="listener")
     sent = []
 
     class Port:
@@ -123,7 +122,7 @@ def make_gw(cfg=None):
             sent.append((frame, now))
             return True
 
-    gw.eth_port = Port()
+    gw = Gateway(sim, "gw", cfg or GwConfig(), Port())
     return sim, gw, sent
 
 
@@ -162,7 +161,6 @@ def test_pack_timer_single_message_frame_shape():
     assert frame.payload_len == 46  # padded to the Ethernet minimum
     assert frame.pcp == AVB_PCP
     assert frame.ethertype == ETHERTYPE_CAN_TUNNEL
-    assert frame.dst == "listener"
     assert unpack(frame.payload) == [CanMessage(0x123, bytes(8), 100)]
 
 

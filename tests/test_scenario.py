@@ -1,12 +1,14 @@
 """Scenario tests: config parsing, arm selection, topology runs, CLI surface."""
 
 import dataclasses
+import importlib.util
 import re
 import time
 from pathlib import Path
 
 import pytest
 
+from canavbsim import scenario
 from canavbsim.cli import main as cli_main
 from canavbsim.metrics import export_csv, read_csv
 from canavbsim.scenario import (
@@ -112,6 +114,33 @@ def test_attach_switch_validated():
         parse_config("[traffic.jammer]\nattach_switch = 3\n")
 
 
+def test_switch_count_capped_before_anything_is_built(tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(scenario, "Network", no_build)
+    top = scenario.MAX_SWITCHES
+    assert parse_config(f"switches.count = {top}\n").switch_count == top
+    text = "[switches]\ncount = 1000000000\n"
+    with pytest.raises(ValidationError, match="switches.count"):
+        parse_config(text)
+    code = cli_main(["run", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ValidationError:")
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2])
+def test_count_limit_is_the_number_of_messages_sent(limit):
+    cfg = parse_config(f"[sim]\nduration = 50ms\n[traffic.sender]\ncount_limit = {limit}\n")
+    acct = run_scenario(cfg).network.account()
+    assert acct["created"] == acct["delivered"] == limit
+
+
+def test_negative_count_limit_rejected():
+    with pytest.raises(ValidationError, match="count_limit"):
+        parse_config("[traffic.sender]\ncount_limit = -3\n")
+
+
 def test_arm_configs_differ_only_in_two_knobs():
     base = ScenarioConfig(seed=11)
     for arm in ARMS:
@@ -181,18 +210,50 @@ def test_suite_emits_exactly_the_four_arms(tmp_path):
     assert "AVB_jam" in suite.table
 
 
-def test_build_network_shape():
-    net = build_network(ScenarioConfig())
-    assert [sw.name for sw in net.switches] == ["sw1", "sw2"]
-    port_names = {p.name for p in net.ports}
-    assert port_names == {
-        "port:gw->sw1",
-        "port:sw1->gw",
-        "port:sw1->sw2",
-        "port:sw2->sw1",
-        "port:sw2->listener",
-    }
+CHAIN_PORTS = {
+    1: ["port:gw->sw1", "port:sw1->listener"],
+    2: ["port:gw->sw1", "port:sw1->sw2", "port:sw2->listener"],
+    4: ["port:gw->sw1", "port:sw1->sw2", "port:sw2->sw3", "port:sw3->sw4", "port:sw4->listener"],
+}
+
+
+@pytest.mark.parametrize("count", sorted(CHAIN_PORTS))
+def test_build_network_shape(count):
+    net = build_network(ScenarioConfig(switch_count=count))
+    assert [sw.name for sw in net.switches] == [f"sw{i}" for i in range(1, count + 1)]
+    # One egress port per hop, listed left to right.
+    assert [p.name for p in net.ports] == CHAIN_PORTS[count]
     assert net.talker is None
+
+
+# Four switches with the talker behind a real 100 Mbps access link on sw3.
+LINKED_JAMMER = dict(
+    switch_count=4, jammer_enabled=True, jammer_attach_switch=3, jammer_link_rate=100_000_000
+)
+
+
+def test_every_port_carries_frames_with_a_linked_jammer():
+    net = build_network(ScenarioConfig(duration=50_000_000, **LINKED_JAMMER))
+    assert [p.name for p in net.ports] == CHAIN_PORTS[4] + ["port:talker->sw3"]
+    net.run()
+    for name, acct in net.port_accounting().items():
+        assert acct["transmitted"] > 0, name
+        assert acct["offered"] == (
+            acct["transmitted"] + acct["queued"] + acct["in_service"] + acct["dropped"]
+        ), name
+    assert net.listener.jam_frames > 0
+
+
+def test_every_handler_owner_has_a_bench_layer():
+    # bench/spans.py attributes handler time by the owner's class name; an
+    # entity class missing from its map would break the bench's event count.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    net = build_network(ScenarioConfig(**LINKED_JAMMER))
+    owners = {type(getattr(h, "__self__", None)).__name__ for h in net.sim._handlers.values()}
+    assert owners <= set(spans.HANDLER_LAYERS)
 
 
 def test_build_network_more_switches():

@@ -108,8 +108,7 @@ def test_jammer_with_finite_link_saturates_its_egress():
 def can_frame(messages, pcp=3):
     payload = pack(messages)
     return EthFrame(
-        src="gw", dst="listener", pcp=pcp,
-        payload_len=max(46, len(payload)), payload=payload,
+        pcp=pcp, payload_len=max(46, len(payload)), payload=payload,
         ethertype=ETHERTYPE_CAN_TUNNEL,
     )
 
@@ -134,7 +133,7 @@ def test_listener_multi_record_frame_shares_delivery_time():
 
 def test_listener_counts_jam_frames():
     listener = Listener("listener", LatencyRecorder())
-    jam = EthFrame(src="talker", dst="listener", pcp=0, payload_len=1452)
+    jam = EthFrame(pcp=0, payload_len=1452)
     assert listener.on_frame_received(jam, 5_000) == []
     assert listener.jam_frames == 1
     assert listener.records_received == 0
@@ -143,7 +142,7 @@ def test_listener_counts_jam_frames():
 def test_listener_propagates_malformed_payload():
     listener = Listener("listener", LatencyRecorder())
     bad = EthFrame(
-        src="gw", dst="listener", pcp=3, payload_len=46,
+        pcp=3, payload_len=46,
         payload=b"\x05\x00garbage", ethertype=ETHERTYPE_CAN_TUNNEL,
     )
     with pytest.raises(MalformedPayload):
