@@ -19,6 +19,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Iterable
 
 from .canbus import CAN_MAX_DLC, CAN_MAX_ID, CanMessage
@@ -69,15 +70,16 @@ def pack(messages: list[CanMessage], limit: int = MAX_PAYLOAD) -> bytes:
     return payload
 
 
-def unpack(payload: bytes) -> list[CanMessage]:
-    """Exact inverse of pack; rejects any truncated or inconsistent buffer."""
+def decode(payload: bytes) -> list[tuple[int, bytes, int]]:
+    """The records of a packed payload as (can_id, data, created_at), in wire
+    order; rejects any truncated or inconsistent buffer."""
     size = len(payload)
     if size < COUNT_SIZE:
         raise MalformedPayload("payload shorter than the record count field")
     (count,) = _COUNT.unpack_from(payload, 0)
     record = _RECORD.unpack_from
     offset = COUNT_SIZE
-    messages = []
+    records = []
     for i in range(count):
         if offset + RECORD_OVERHEAD > size:
             raise MalformedPayload(f"record {i} truncated at offset {offset}")
@@ -90,11 +92,16 @@ def unpack(payload: bytes) -> list[CanMessage]:
         end = offset + dlc
         if end > size:
             raise MalformedPayload(f"record {i} data truncated")
-        messages.append(CanMessage(can_id, payload[offset:end], created_at))
+        records.append((can_id, payload[offset:end], created_at))
         offset = end
     if offset != size:
         raise MalformedPayload(f"{size - offset} trailing bytes after {count} records")
-    return messages
+    return records
+
+
+def unpack(payload: bytes) -> list[CanMessage]:
+    """Exact inverse of pack; rejects any truncated or inconsistent buffer."""
+    return list(starmap(CanMessage, decode(payload)))
 
 
 @dataclass

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import csv
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
+from fractions import Fraction
+from itertools import islice
+from math import ceil
+from operator import lt, sub
 from pathlib import Path
 
 from .core import SimulationError
@@ -28,9 +33,7 @@ class LatencyRecord:
 
     def __post_init__(self):
         if self.delivered_at < self.created_at:
-            raise MetricsError(
-                f"delivered_at {self.delivered_at} precedes created_at {self.created_at}"
-            )
+            raise _precedes(self.created_at, self.delivered_at)
 
     @property
     def latency(self) -> int:
@@ -51,34 +54,85 @@ class RunSummary:
     drops: dict[str, int] = field(default_factory=dict)
 
 
-def percentile_nearest_rank(sorted_values: list[int], pct: float) -> int:
+def percentile_nearest_rank(sorted_values: Sequence[int], pct: float) -> int:
     """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
     if not sorted_values:
         raise MetricsError("percentile of an empty series")
     if not 0 < pct <= 100:
         raise MetricsError(f"percentile must be in (0, 100], got {pct}")
-    rank = -(-int(pct * len(sorted_values)) // 100)  # ceil without float error
-    return sorted_values[max(rank, 1) - 1]
+    # Exact rank: pct as written (50.25, not its binary float), no truncation.
+    rank = ceil(Fraction(str(pct)) * len(sorted_values) / 100)
+    return sorted_values[rank - 1]
+
+
+def _precedes(created_at: int, delivered_at: int) -> MetricsError:
+    return MetricsError(f"delivered_at {delivered_at} precedes created_at {created_at}")
+
+
+class LatencyRecords(Sequence):
+    """Read-only view of a recorder's columns; each item is a LatencyRecord
+    built on access."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple):
+        self._columns = columns  # seq, can_id, created_at, delivered_at, arm
+
+    def __len__(self) -> int:
+        return len(self._columns[-1])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return LatencyRecord(*(column[index] for column in self._columns))
+
+    def __iter__(self):
+        return map(LatencyRecord, *self._columns)
 
 
 class LatencyRecorder:
-    """Accumulates records in delivery order; summaries are computed from the
-    complete series (no streaming approximation)."""
+    """Accumulates records in delivery order, one typed column per field and
+    no object per record; summaries are computed from the complete series
+    (no streaming approximation)."""
+
+    __slots__ = ("seq", "can_id", "created_at", "delivered_at", "arm", "records")
 
     def __init__(self):
-        self.records: list[LatencyRecord] = []
+        self.seq = array("Q")
+        self.can_id = array("H")
+        self.created_at = array("Q")
+        self.delivered_at = array("Q")
+        self.arm: list[str] = []  # shared str references, one slot per record
+        self.records = LatencyRecords(
+            (self.seq, self.can_id, self.created_at, self.delivered_at, self.arm)
+        )
+
+    def add(self, seq: int, can_id: int, created_at: int, delivered_at: int, arm: str) -> None:
+        if delivered_at < created_at:
+            raise _precedes(created_at, delivered_at)
+        try:
+            self.seq.append(seq)
+            self.can_id.append(can_id)
+            self.created_at.append(created_at)
+            self.delivered_at.append(delivered_at)
+        except OverflowError:
+            n = len(self.arm)  # drop the part of the row already appended
+            for column in (self.seq, self.can_id, self.created_at, self.delivered_at):
+                del column[n:]
+            raise MetricsError(
+                f"record (seq {seq}, can_id {can_id}, created_at {created_at}, "
+                f"delivered_at {delivered_at}) does not fit the u64/u16/u64/u64 columns"
+            ) from None
+        self.arm.append(arm)
 
     def record(self, rec: LatencyRecord) -> None:
-        self.records.append(rec)
-
-    def record_all(self, recs: list[LatencyRecord]) -> None:
-        self.records.extend(recs)
+        self.add(rec.seq, rec.can_id, rec.created_at, rec.delivered_at, rec.arm)
 
     def summarize(self, jam_frames: int = 0, drops: dict[str, int] | None = None) -> RunSummary:
         drops = dict(drops or {})
-        if not self.records:
+        if not self.arm:
             return RunSummary(count=0, jam_frames=jam_frames, drops=drops)
-        lat = sorted(r.latency for r in self.records)
+        lat = sorted(map(sub, self.delivered_at, self.created_at))
         return RunSummary(
             count=len(lat),
             min=lat[0],
@@ -91,18 +145,33 @@ class LatencyRecorder:
         )
 
 
-def export_csv(records: list[LatencyRecord], path: str | Path) -> None:
-    """Write records in creation-time order; byte output is deterministic."""
-    # Two stable sorts give (created_at, seq) order without a key tuple per record.
-    rows = sorted(records, key=attrgetter("seq"))
-    rows.sort(key=attrgetter("created_at"))
+def _creation_order(created_at: array, seq: array) -> list[int] | None:
+    """Row indices in (created_at, seq) order, or None when the rows already
+    are in that order, as one sender's messages delivered FIFO are."""
+    if all(map(lt, created_at, islice(created_at, 1, None))):
+        return None
+    # Two stable sorts give (created_at, seq) order without a key tuple per row.
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    order.sort(key=created_at.__getitem__)
+    return order
+
+
+def export_csv(records: Sequence[LatencyRecord], path: str | Path) -> None:
+    """Write records in (created_at, seq) order; byte output is deterministic."""
+    if not isinstance(records, LatencyRecords):
+        recorder = LatencyRecorder()
+        for rec in records:
+            recorder.record(rec)
+        records = recorder.records
+    columns = records._columns
+    seq, _, created_at, _, _ = columns
+    order = _creation_order(created_at, seq)
+    if order is not None:
+        columns = [map(column.__getitem__, order) for column in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows(
-            (r.seq, r.can_id, r.created_at, r.delivered_at, r.latency, r.arm)
-            for r in rows
-        )
+        writer.writerows((s, i, c, d, d - c, a) for s, i, c, d, a in zip(*columns))
 
 
 def read_csv(path: str | Path) -> list[LatencyRecord]:
@@ -110,14 +179,22 @@ def read_csv(path: str | Path) -> list[LatencyRecord]:
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_HEADER:
             raise MetricsError(f"unexpected CSV header {header!r}")
         for row in reader:
-            seq, can_id, created, delivered, latency, arm = row
-            rec = LatencyRecord(int(seq), int(can_id), int(created), int(delivered), arm)
-            if rec.latency != int(latency):
-                raise MetricsError(f"latency column mismatch on row {row!r}")
+            line = reader.line_num
+            if len(row) != len(CSV_HEADER):
+                raise MetricsError(f"line {line}: {len(row)} fields, expected {len(CSV_HEADER)}")
+            try:
+                seq, can_id, created, delivered, latency = map(int, row[:-1])
+                rec = LatencyRecord(seq, can_id, created, delivered, row[-1])
+            except ValueError:
+                raise MetricsError(f"line {line}: non-integer field in {row!r}") from None
+            except MetricsError as exc:
+                raise MetricsError(f"line {line}: {exc}") from None
+            if rec.latency != latency:
+                raise MetricsError(f"line {line}: latency column mismatch on row {row!r}")
             records.append(rec)
     return records
 

@@ -24,7 +24,7 @@ from .canbus import STUFFING_MODELS, STUFFING_NONE, CAN_MAX_ID, CanBus
 from .core import NS_PER_SEC, Event, RunStats, SimulationError, Simulator, stream_rng
 from .ethernet import AVB_PCP, ETHERTYPE_CAN_TUNNEL, EgressPort, EthFrame, Switch
 from .gateway import Gateway, GwConfig
-from .metrics import LatencyRecord, LatencyRecorder, RunSummary, export_csv
+from .metrics import LatencyRecorder, LatencyRecords, RunSummary, export_csv
 from .traffic import JammingTalker, JammingTalkerCfg, Listener, PeriodicCanSender, PeriodicCanSenderCfg
 
 ARMS = ("Eth_nature", "Eth_jam", "AVB_nature", "AVB_jam")
@@ -442,7 +442,7 @@ def build_network(cfg: ScenarioConfig, trace=None, depth_trace=None) -> Network:
 @dataclass
 class ScenarioResult:
     arm: str
-    records: list[LatencyRecord]
+    records: LatencyRecords
     summary: RunSummary
     stats: RunStats
     network: Network

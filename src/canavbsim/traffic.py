@@ -20,8 +20,8 @@ from .ethernet import (
     EgressPort,
     EthFrame,
 )
-from .gateway import unpack
-from .metrics import LatencyRecorder, LatencyRecord
+from .gateway import decode
+from .metrics import LatencyRecorder
 
 
 class TrafficError(SimulationError):
@@ -145,8 +145,8 @@ class JammingTalker:
 
 
 class Listener:
-    """Terminal Ethernet node: unpacks CAN-bearing frames into latency
-    records and counts everything else as jamming traffic."""
+    """Terminal Ethernet node: decodes CAN-bearing frames straight into the
+    recorder's columns and counts everything else as jamming traffic."""
 
     def __init__(self, name: str, recorder: LatencyRecorder, arm: str = ""):
         self.name = name
@@ -155,15 +155,12 @@ class Listener:
         self.jam_frames = 0
         self.records_received = 0
 
-    def on_frame_received(self, frame: EthFrame, now: int) -> list[LatencyRecord]:
+    def on_frame_received(self, frame: EthFrame, now: int) -> None:
         if frame.ethertype != ETHERTYPE_CAN_TUNNEL:
             self.jam_frames += 1
-            return []
-        arm = self.arm
-        records = [
-            LatencyRecord(int.from_bytes(msg.payload, "little"), msg.can_id, msg.created_at, now, arm)
-            for msg in unpack(frame.payload)
-        ]
-        self.recorder.record_all(records)
+            return
+        add, arm = self.recorder.add, self.arm
+        records = decode(frame.payload)
+        for can_id, data, created_at in records:
+            add(int.from_bytes(data, "little"), can_id, created_at, now, arm)
         self.records_received += len(records)
-        return records

@@ -37,3 +37,14 @@ def test_logged_jam_run_matches_golden(tmp_path):
     expected = GOLDEN["jam_logged"]["42"]
     assert sorted(expected) == ["latency_AVB_jam.csv", "queue_trace.csv", "trace.csv"]
     assert digests(tmp_path, expected) == expected
+
+
+def test_can_saturated_export_matches_golden(tmp_path):
+    # The bench's can_saturated workload: jammer off, a 120 us sender for 6 s,
+    # about 50k records through the columnar recorder and its CSV writer.
+    cfg = parse_config("[sim]\nseed = 42\nduration = 6s\n[traffic.sender]\nperiod = 120us\n")
+    result = run_scenario(cfg)
+    export_csv(result.records, tmp_path / f"latency_{result.arm}.csv")
+    expected = GOLDEN["can_saturated"]["42"]
+    assert sorted(expected) == ["latency_AVB_nature.csv"]
+    assert digests(tmp_path, expected) == expected

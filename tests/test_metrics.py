@@ -5,6 +5,7 @@ import random
 import pytest
 
 from canavbsim.metrics import (
+    CSV_HEADER,
     LatencyRecord,
     LatencyRecorder,
     MetricsError,
@@ -135,3 +136,94 @@ def test_export_order_equals_created_at_seq_tuple_order(tmp_path):
     export_csv(records, path)
     expected = sorted(records, key=lambda r: (r.created_at, r.seq))
     assert read_csv(path) == expected
+
+
+def test_percentile_rank_is_exact_not_truncated():
+    # ceil(50.25% of 2) = ceil(1.005) = 2; truncating pct * n first gives rank 1.
+    assert percentile_nearest_rank([10, 20], 50.25) == 20
+    assert percentile_nearest_rank([10, 20], 50) == 10
+    assert percentile_nearest_rank(list(range(1, 1001)), 99.9) == 999
+    assert percentile_nearest_rank(list(range(1, 1001)), 99.95) == 1000
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (-1, 0x100, 0, 10),  # negative seq
+        (2**64, 0x100, 0, 10),  # seq beyond u64
+        (0, 2**16, 0, 10),  # can_id beyond u16
+        (0, -1, 0, 10),
+        (0, 0x100, 0, 2**64),  # delivered_at beyond u64
+    ],
+)
+def test_out_of_range_field_is_a_metrics_error(fields):
+    r = LatencyRecorder()
+    r.add(7, 0x100, 0, 5, "arm")
+    with pytest.raises(MetricsError, match="does not fit"):
+        r.add(*fields, "arm")
+    with pytest.raises(MetricsError, match="does not fit"):
+        r.record(LatencyRecord(*fields, "arm"))
+    # The failed row left no partial column behind.
+    assert [len(c) for c in (r.seq, r.can_id, r.created_at, r.delivered_at, r.arm)] == [1] * 5
+    assert list(r.records) == [LatencyRecord(7, 0x100, 0, 5, "arm")]
+
+
+def test_add_rejects_negative_latency():
+    r = LatencyRecorder()
+    with pytest.raises(MetricsError, match="precedes"):
+        r.add(0, 0x100, 100, 99, "arm")
+    assert len(r.records) == 0
+
+
+def test_records_view_is_a_read_only_sequence():
+    r = LatencyRecorder()
+    records = [rec(i, 10 * i, 10 * i + 5 + i) for i in range(4)]
+    for x in records:
+        r.record(x)
+    view = r.records
+    assert len(view) == 4
+    assert view[0] == records[0] and view[-1] == records[-1]
+    assert view[1:3] == records[1:3]
+    assert list(view) == records
+    assert records[2] in view
+    with pytest.raises(IndexError):
+        view[4]
+    assert not hasattr(view, "append")
+    r.add(9, 1, 0, 1, "late")
+    assert view is r.records and len(view) == 5
+
+
+def test_export_of_a_list_equals_export_of_the_recorder(tmp_path):
+    rng = random.Random(11)
+    records = [rec(rng.randrange(4), rng.randrange(3) * 1_000, 10_000 + i) for i in range(50)]
+    r = LatencyRecorder()
+    for x in records:
+        r.record(x)
+    export_csv(records, tmp_path / "list.csv")
+    export_csv(r.records, tmp_path / "view.csv")
+    assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "view.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("row", "message"),
+    [
+        ("0,256,0,10,10", "line 3: 5 fields, expected 6"),
+        ("0,256,0,10,10,AVB_nature,extra", "line 3: 7 fields, expected 6"),
+        ("0,256,zero,10,10,AVB_nature", "line 3: non-integer field"),
+        ("0,256,0,10,1.5e1,AVB_nature", "line 3: non-integer field"),
+        ("0,256,0,10,11,AVB_nature", "line 3: latency column mismatch"),
+        ("0,256,10,5,-5,AVB_nature", "line 3: delivered_at 5 precedes created_at 10"),
+    ],
+)
+def test_read_csv_bad_row_names_its_line(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n1,256,0,5,5,AVB_nature\n" + row + "\n")
+    with pytest.raises(MetricsError, match=message):
+        read_csv(path)
+
+
+def test_read_csv_empty_file_is_a_metrics_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(MetricsError, match="unexpected CSV header"):
+        read_csv(path)

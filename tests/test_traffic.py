@@ -6,7 +6,7 @@ from canavbsim.canbus import CanBus, CanMessage
 from canavbsim.core import Simulator, stream_rng
 from canavbsim.ethernet import ETHERTYPE_CAN_TUNNEL, EgressPort, EthFrame
 from canavbsim.gateway import MalformedPayload, pack
-from canavbsim.metrics import LatencyRecorder
+from canavbsim.metrics import LatencyRecord, LatencyRecorder, MetricsError
 from canavbsim.traffic import (
     JammingTalker,
     JammingTalkerCfg,
@@ -115,7 +115,8 @@ def can_frame(messages, pcp=3):
 
 def test_listener_single_record_latency_definition():
     listener = Listener("listener", LatencyRecorder(), arm="AVB_nature")
-    [rec] = listener.on_frame_received(can_frame([CanMessage(5, (9).to_bytes(8, "little"), 1_000)]), 2_500)
+    listener.on_frame_received(can_frame([CanMessage(5, (9).to_bytes(8, "little"), 1_000)]), 2_500)
+    [rec] = listener.recorder.records
     assert rec.latency == 1_500
     assert rec.seq == 9
     assert rec.can_id == 5
@@ -125,7 +126,8 @@ def test_listener_single_record_latency_definition():
 def test_listener_multi_record_frame_shares_delivery_time():
     listener = Listener("listener", LatencyRecorder())
     msgs = [CanMessage(1, bytes(8), t) for t in (100, 200, 300)]
-    recs = listener.on_frame_received(can_frame(msgs), 10_000)
+    listener.on_frame_received(can_frame(msgs), 10_000)
+    recs = listener.recorder.records
     assert [r.delivered_at for r in recs] == [10_000] * 3
     assert [r.created_at for r in recs] == [100, 200, 300]
     assert listener.records_received == 3
@@ -134,7 +136,8 @@ def test_listener_multi_record_frame_shares_delivery_time():
 def test_listener_counts_jam_frames():
     listener = Listener("listener", LatencyRecorder())
     jam = EthFrame(pcp=0, payload_len=1452)
-    assert listener.on_frame_received(jam, 5_000) == []
+    listener.on_frame_received(jam, 5_000)
+    assert list(listener.recorder.records) == []
     assert listener.jam_frames == 1
     assert listener.records_received == 0
 
@@ -147,3 +150,25 @@ def test_listener_propagates_malformed_payload():
     )
     with pytest.raises(MalformedPayload):
         listener.on_frame_received(bad, 1_000)
+
+
+def test_listener_rejects_frame_created_after_delivery():
+    listener = Listener("listener", LatencyRecorder())
+    forged = can_frame([CanMessage(1, bytes(8), 5_001)])
+    with pytest.raises(MetricsError, match="precedes"):
+        listener.on_frame_received(forged, 5_000)
+    assert len(listener.recorder.records) == 0
+
+
+def test_listener_builds_no_message_or_record_objects(monkeypatch):
+    frame = can_frame([CanMessage(1, (i).to_bytes(8, "little"), 100 * i) for i in range(3)])
+
+    def built(self):
+        raise AssertionError(f"{type(self).__name__} built on the record path")
+
+    monkeypatch.setattr(CanMessage, "__post_init__", built)
+    monkeypatch.setattr(LatencyRecord, "__post_init__", built)
+    listener = Listener("listener", LatencyRecorder())
+    listener.on_frame_received(frame, 10_000)
+    assert list(listener.recorder.seq) == [0, 1, 2]
+    assert list(listener.recorder.created_at) == [0, 100, 200]
