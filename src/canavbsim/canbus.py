@@ -157,15 +157,13 @@ class CanBus:
         self._receivers[node_id] = on_receive
         self.overflows[node_id] = 0
 
-    def transmit_request(self, node_id: str, msg: CanMessage) -> bool:
-        """Queue msg at the node; returns False if the node cap dropped it."""
-        q = self._queues.get(node_id)
+    def transmit_request(self, msg: CanMessage) -> bool:
+        """Queue msg at its source node; returns False if the node cap dropped it."""
+        q = self._queues.get(msg.source)
         if q is None:
-            raise CanError(f"node {node_id!r} not attached to bus {self.name!r}")
-        if msg.source != node_id:
-            raise CanError(f"message source {msg.source!r} does not match node {node_id!r}")
+            raise CanError(f"node {msg.source!r} not attached to bus {self.name!r}")
         if self.node_queue_cap is not None and len(q) >= self.node_queue_cap:
-            self.overflows[node_id] += 1
+            self.overflows[msg.source] += 1
             return False
         q.append(msg)
         self._schedule_arbitration()
@@ -190,14 +188,11 @@ class CanBus:
         self.sim.schedule(self.name, "arbitrate", now if now > self.busy_until else self.busy_until)
 
     def _handle(self, ev: Event) -> None:
-        kind = ev.kind
-        if kind == "arbitrate":
+        if ev.kind == "arbitrate":
             self._arb_scheduled = False
             self._start_transmission(ev.fire_at)
-        elif kind == "tx_complete":
+        else:  # tx_complete
             self._complete_transmission(ev.fire_at)
-        else:
-            raise CanError(f"unexpected event kind {kind!r}")
 
     def _start_transmission(self, now: int) -> None:
         if self._transmitting is not None:

@@ -11,7 +11,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 NS_PER_SEC = 1_000_000_000
 
@@ -36,7 +36,8 @@ class UnknownTarget(SimulationError):
 
 
 class Event(NamedTuple):
-    """One scheduled occurrence, and its own heap entry.
+    """One scheduled occurrence, and its own heap entry: exactly the four
+    columns of the trace log.
 
     Total order is (fire_at, seq); seq is unique, so tuple comparison never
     reaches target.  Immutable: cancellation is recorded on the Simulator.
@@ -46,7 +47,6 @@ class Event(NamedTuple):
     seq: int
     target: str
     kind: str
-    payload: Any = None
 
 
 @dataclass(slots=True)
@@ -79,7 +79,7 @@ class Simulator:
             raise SimulationError(f"entity {name!r} registered twice")
         self._handlers[name] = handler
 
-    def schedule(self, target: str, kind: str, fire_at: int, payload: Any = None) -> Event:
+    def schedule(self, target: str, kind: str, fire_at: int) -> Event:
         """Enqueue an event; returns a handle usable with cancel()."""
         if fire_at < self.now:
             raise SchedulingInPast(
@@ -87,7 +87,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        ev = _new_tuple(Event, (fire_at, seq, target, kind, payload))
+        ev = _new_tuple(Event, (fire_at, seq, target, kind))
         heappush(self._heap, ev)
         return ev
 
@@ -107,7 +107,7 @@ class Simulator:
         cancelled = self._cancelled
         while heap and heap[0][0] <= t_end:
             ev = heappop(heap)
-            # Index access: ev is (fire_at, seq, target, kind, payload).
+            # Index access: ev is (fire_at, seq, target, kind).
             if cancelled and ev[1] in cancelled:
                 cancelled.remove(ev[1])
                 continue

@@ -208,10 +208,6 @@ class EgressPort:
         self._wire_times: dict[tuple[int, bool], int] = {}
         sim.register(name, self._handle)
 
-    @property
-    def busy(self) -> bool:
-        return self._tx_frame is not None
-
     def in_service(self) -> EthFrame | None:
         return self._tx_frame
 
@@ -277,11 +273,9 @@ class EgressPort:
                 self._trace_depth(ev.fire_at)
             self.peer.on_frame_received(frame, ev.fire_at)
             self.kick(ev.fire_at)
-        elif ev.kind == "credit_ready":
+        else:  # credit_ready
             self._wakeup = None
             self.kick(ev.fire_at)
-        else:
-            raise EthError(f"unexpected event kind {ev.kind!r}")
 
     def _update_credit(self, now: int) -> None:
         # _tx_is_avb is only ever true while a frame is in service.
@@ -297,7 +291,7 @@ class EgressPort:
             "offered": self.queues.offered,
             "transmitted": self.transmitted,
             "queued": self.queued_frames(),
-            "in_service": 1 if self.busy else 0,
+            "in_service": 1 if self._tx_frame is not None else 0,
             "dropped": self.queues.dropped,
         }
 
@@ -311,8 +305,9 @@ class Switch:
         self.name = name
         self.forwarding_latency = forwarding_latency
         self.egress = egress
-        # Received, not yet enqueued at egress, in arrival order.  A constant
-        # forwarding latency makes "forward" events fire in that same order.
+        # Received, not yet enqueued at egress, in arrival order: the one
+        # copy of each frame inside the switch.  A constant forwarding
+        # latency makes "forward" events fire in that same order.
         self.pending: deque[EthFrame] = deque()
         sim.register(name, self._handle)
 
@@ -320,10 +315,7 @@ class Switch:
         # Eligible for egress only after full reception; the processing
         # delay then covers internal transfer.
         self.pending.append(frame)
-        self.sim.schedule(self.name, "forward", now + self.forwarding_latency, payload=frame)
+        self.sim.schedule(self.name, "forward", now + self.forwarding_latency)
 
     def _handle(self, ev: Event) -> None:
-        if ev.kind != "forward":
-            raise EthError(f"unexpected event kind {ev.kind!r}")
-        self.pending.popleft()
-        self.egress.enqueue(ev.payload, ev.fire_at)
+        self.egress.enqueue(self.pending.popleft(), ev.fire_at)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from itertools import starmap
-from typing import Iterable
 
 from .canbus import CAN_MAX_DLC, CAN_MAX_ID, CanMessage
 from .core import Event, SimulationError, Simulator
@@ -51,10 +49,6 @@ class MalformedPayload(GatewayError):
     pass
 
 
-def packed_size(messages: Iterable[CanMessage]) -> int:
-    return COUNT_SIZE + sum(RECORD_OVERHEAD + m.dlc for m in messages)
-
-
 def pack(messages: list[CanMessage], limit: int = MAX_PAYLOAD) -> bytes:
     """Serialize messages into one payload; raises PayloadOverflow past limit."""
     if len(messages) > 0xFFFF:
@@ -70,13 +64,18 @@ def pack(messages: list[CanMessage], limit: int = MAX_PAYLOAD) -> bytes:
     return payload
 
 
+def record_count(payload: bytes) -> int:
+    """The record_count field of a packed payload."""
+    return _COUNT.unpack_from(payload)[0]
+
+
 def decode(payload: bytes) -> list[tuple[int, bytes, int]]:
     """The records of a packed payload as (can_id, data, created_at), in wire
-    order; rejects any truncated or inconsistent buffer."""
+    order; the inverse of pack.  Rejects any truncated or inconsistent buffer."""
     size = len(payload)
     if size < COUNT_SIZE:
         raise MalformedPayload("payload shorter than the record count field")
-    (count,) = _COUNT.unpack_from(payload, 0)
+    count = record_count(payload)
     record = _RECORD.unpack_from
     offset = COUNT_SIZE
     records = []
@@ -97,11 +96,6 @@ def decode(payload: bytes) -> list[tuple[int, bytes, int]]:
     if offset != size:
         raise MalformedPayload(f"{size - offset} trailing bytes after {count} records")
     return records
-
-
-def unpack(payload: bytes) -> list[CanMessage]:
-    """Exact inverse of pack; rejects any truncated or inconsistent buffer."""
-    return list(starmap(CanMessage, decode(payload)))
 
 
 @dataclass
@@ -149,8 +143,6 @@ class Gateway:
         self.fifo.append(msg)
 
     def _handle(self, ev: Event) -> None:
-        if ev.kind != "pack":
-            raise GatewayError(f"unexpected event kind {ev.kind!r}")
         frame = self.on_pack_timer(ev.fire_at)
         if frame is not None:
             self.eth_port.enqueue(frame, ev.fire_at)

@@ -7,7 +7,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import ceil
 from operator import lt, sub
 from pathlib import Path
@@ -71,12 +71,13 @@ def _precedes(created_at: int, delivered_at: int) -> MetricsError:
 
 class LatencyRecords(Sequence):
     """Read-only view of a recorder's columns; each item is a LatencyRecord
-    built on access."""
+    built on access, carrying the recorder's arm label."""
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_columns", "_arm")
 
-    def __init__(self, columns: tuple):
-        self._columns = columns  # seq, can_id, created_at, delivered_at, arm
+    def __init__(self, columns: tuple, arm: str):
+        self._columns = columns  # seq, can_id, created_at, delivered_at
+        self._arm = arm
 
     def __len__(self) -> int:
         return len(self._columns[-1])
@@ -84,30 +85,30 @@ class LatencyRecords(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        return LatencyRecord(*(column[index] for column in self._columns))
+        return LatencyRecord(*(column[index] for column in self._columns), self._arm)
 
     def __iter__(self):
-        return map(LatencyRecord, *self._columns)
+        return map(LatencyRecord, *self._columns, repeat(self._arm))
 
 
 class LatencyRecorder:
-    """Accumulates records in delivery order, one typed column per field and
-    no object per record; summaries are computed from the complete series
-    (no streaming approximation)."""
+    """Accumulates one run's records in delivery order, one typed column per
+    field and no object per record; ``arm`` labels every record.  Summaries
+    are computed from the complete series (no streaming approximation)."""
 
     __slots__ = ("seq", "can_id", "created_at", "delivered_at", "arm", "records")
 
-    def __init__(self):
+    def __init__(self, arm: str = ""):
         self.seq = array("Q")
         self.can_id = array("H")
         self.created_at = array("Q")
         self.delivered_at = array("Q")
-        self.arm: list[str] = []  # shared str references, one slot per record
+        self.arm = arm
         self.records = LatencyRecords(
-            (self.seq, self.can_id, self.created_at, self.delivered_at, self.arm)
+            (self.seq, self.can_id, self.created_at, self.delivered_at), arm
         )
 
-    def add(self, seq: int, can_id: int, created_at: int, delivered_at: int, arm: str) -> None:
+    def add(self, seq: int, can_id: int, created_at: int, delivered_at: int) -> None:
         if delivered_at < created_at:
             raise _precedes(created_at, delivered_at)
         try:
@@ -116,21 +117,17 @@ class LatencyRecorder:
             self.created_at.append(created_at)
             self.delivered_at.append(delivered_at)
         except OverflowError:
-            n = len(self.arm)  # drop the part of the row already appended
+            n = len(self.delivered_at)  # appended last: drop the partial row
             for column in (self.seq, self.can_id, self.created_at, self.delivered_at):
                 del column[n:]
             raise MetricsError(
                 f"record (seq {seq}, can_id {can_id}, created_at {created_at}, "
                 f"delivered_at {delivered_at}) does not fit the u64/u16/u64/u64 columns"
             ) from None
-        self.arm.append(arm)
-
-    def record(self, rec: LatencyRecord) -> None:
-        self.add(rec.seq, rec.can_id, rec.created_at, rec.delivered_at, rec.arm)
 
     def summarize(self, jam_frames: int = 0, drops: dict[str, int] | None = None) -> RunSummary:
         drops = dict(drops or {})
-        if not self.arm:
+        if not self.delivered_at:
             return RunSummary(count=0, jam_frames=jam_frames, drops=drops)
         lat = sorted(map(sub, self.delivered_at, self.created_at))
         return RunSummary(
@@ -156,22 +153,19 @@ def _creation_order(created_at: array, seq: array) -> list[int] | None:
     return order
 
 
-def export_csv(records: Sequence[LatencyRecord], path: str | Path) -> None:
-    """Write records in (created_at, seq) order; byte output is deterministic."""
-    if not isinstance(records, LatencyRecords):
-        recorder = LatencyRecorder()
-        for rec in records:
-            recorder.record(rec)
-        records = recorder.records
+def export_csv(records: LatencyRecords, path: str | Path) -> None:
+    """Write a recorder's records in (created_at, seq) order; byte output is
+    deterministic."""
     columns = records._columns
-    seq, _, created_at, _, _ = columns
+    seq, _, created_at, _ = columns
     order = _creation_order(created_at, seq)
     if order is not None:
         columns = [map(column.__getitem__, order) for column in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows((s, i, c, d, d - c, a) for s, i, c, d, a in zip(*columns))
+        arm = records._arm
+        writer.writerows((s, i, c, d, d - c, arm) for s, i, c, d in zip(*columns))
 
 
 def read_csv(path: str | Path) -> list[LatencyRecord]:

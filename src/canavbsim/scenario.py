@@ -23,7 +23,7 @@ from typing import Callable
 from .canbus import STUFFING_MODELS, STUFFING_NONE, CAN_MAX_ID, CanBus
 from .core import NS_PER_SEC, Event, RunStats, SimulationError, Simulator, stream_rng
 from .ethernet import AVB_PCP, ETHERTYPE_CAN_TUNNEL, EgressPort, EthFrame, Switch
-from .gateway import Gateway, GwConfig
+from .gateway import COUNT_SIZE, RECORD_OVERHEAD, Gateway, GwConfig, record_count
 from .metrics import LatencyRecorder, LatencyRecords, RunSummary, export_csv
 from .traffic import JammingTalker, JammingTalkerCfg, Listener, PeriodicCanSender, PeriodicCanSenderCfg
 
@@ -239,6 +239,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         cfg.jammer_link_rate is None or cfg.jammer_link_rate >= 2,
         "traffic.jammer.link_rate must be at least 2 bits/s",
     )
+    for key in ("can.node_queue_cap", "switches.avb_queue_cap",
+                "switches.be_queue_cap", "gateway.queue_cap"):
+        cap = getattr(cfg, _FIELDS_BY_KEY[key].name)
+        need(cap is None or cap >= 0, f"{key} must be non-negative or none")
     # Sub-config constructors enforce their own invariants; surface those
     # as validation errors too.
     try:
@@ -247,6 +251,12 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         cfg.jammer_config()
     except SimulationError as exc:
         raise ValidationError(str(exc)) from None
+    # Past the sub-config checks, so both values are in range.
+    need(
+        COUNT_SIZE + RECORD_OVERHEAD + cfg.sender_dlc <= cfg.gw_mtu_payload,
+        f"gateway.mtu_payload {cfg.gw_mtu_payload} cannot hold one record of "
+        f"traffic.sender.dlc {cfg.sender_dlc} ({COUNT_SIZE} + {RECORD_OVERHEAD} + dlc bytes)",
+    )
     return cfg
 
 
@@ -307,12 +317,11 @@ class Network:
 
     def __init__(self, cfg: ScenarioConfig, trace=None, depth_trace=None):
         self.cfg = cfg
-        self.arm = arm_name(cfg)
         self.sim = sim = Simulator(trace=trace)
         self.records_in_dropped_frames = 0
         self.ports: list[EgressPort] = []
-        self.recorder = LatencyRecorder()
-        self.listener = Listener("listener", self.recorder, arm=self.arm)
+        self.recorder = LatencyRecorder(arm_name(cfg))
+        self.listener = Listener("listener", self.recorder)
         self.bus = CanBus(
             sim,
             "canbus",
@@ -388,7 +397,7 @@ class Network:
     def _records_in(frame: EthFrame | None) -> int:
         if frame is None or frame.ethertype != ETHERTYPE_CAN_TUNNEL:
             return 0
-        return int.from_bytes(frame.payload[:2], "little")
+        return record_count(frame.payload)
 
     def messages_in_flight(self) -> int:
         """CAN messages created but not yet delivered, wherever they sit."""
@@ -462,7 +471,7 @@ def run_scenario(
             write = trace_file.write
 
             def trace(ev: Event) -> None:
-                write("%d,%d,%s,%s\n" % ev[:4])  # fire_at, seq, target, kind
+                write("%d,%d,%s,%s\n" % ev)  # fire_at, seq, target, kind
 
         depth_trace = None
         if depth_trace_path:
@@ -475,7 +484,7 @@ def run_scenario(
         net = build_network(cfg, trace=trace, depth_trace=depth_trace)
         stats = net.run()
     summary = net.recorder.summarize(jam_frames=net.listener.jam_frames, drops=net.drops())
-    return ScenarioResult(net.arm, net.recorder.records, summary, stats, net)
+    return ScenarioResult(net.recorder.arm, net.recorder.records, summary, stats, net)
 
 
 @dataclass

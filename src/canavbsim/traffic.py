@@ -39,6 +39,8 @@ class PeriodicCanSenderCfg:
     def __post_init__(self):
         if self.period <= 0:
             raise TrafficError(f"sender period must be positive, got {self.period}")
+        if self.start < 0:
+            raise TrafficError(f"sender start must be non-negative, got {self.start}")
         if not 0 <= self.dlc <= 8:
             raise TrafficError(f"sender dlc must be 0..8, got {self.dlc}")
         if self.count_limit is not None and self.count_limit < 0:
@@ -65,12 +67,10 @@ class PeriodicCanSender:
             self.sim.schedule(self.name, "tick", self.cfg.start)
 
     def _handle(self, ev: Event) -> None:
-        if ev.kind != "tick":
-            raise TrafficError(f"unexpected event kind {ev.kind!r}")
         cfg = self.cfg
         now = ev.fire_at
         payload = (self.created % self._seq_wrap).to_bytes(cfg.dlc, "little")
-        self.bus.transmit_request(self.name, CanMessage(cfg.can_id, payload, now, self.name))
+        self.bus.transmit_request(CanMessage(cfg.can_id, payload, now, self.name))
         self.created += 1
         if cfg.count_limit is None or self.created < cfg.count_limit:
             self.sim.schedule(self.name, "tick", now + cfg.period)
@@ -99,6 +99,9 @@ class JammingTalkerCfg:
             )
         if self.period_lo < 0:
             raise TrafficError("jammer periods must be non-negative")
+        if self.period_hi < 1:
+            # All-zero gaps would tick forever without the clock advancing.
+            raise TrafficError(f"jammer period_hi must be at least 1 ns, got {self.period_hi}")
         overhead = HEADER_BYTES + FCS_BYTES + (VLAN_TAG_BYTES if self.pcp == AVB_PCP else 0)
         payload = self.frame_total_bytes - overhead
         if not MIN_PAYLOAD <= payload <= MAX_PAYLOAD:
@@ -136,8 +139,6 @@ class JammingTalker:
         self.sim.schedule(self.name, "tick", self.sim.now)
 
     def _handle(self, ev: Event) -> None:
-        if ev.kind != "tick":
-            raise TrafficError(f"unexpected event kind {ev.kind!r}")
         now = ev.fire_at
         self._send(self.frame, now)
         cfg = self.cfg
@@ -148,10 +149,9 @@ class Listener:
     """Terminal Ethernet node: decodes CAN-bearing frames straight into the
     recorder's columns and counts everything else as jamming traffic."""
 
-    def __init__(self, name: str, recorder: LatencyRecorder, arm: str = ""):
+    def __init__(self, name: str, recorder: LatencyRecorder):
         self.name = name
         self.recorder = recorder
-        self.arm = arm
         self.jam_frames = 0
         self.records_received = 0
 
@@ -159,8 +159,8 @@ class Listener:
         if frame.ethertype != ETHERTYPE_CAN_TUNNEL:
             self.jam_frames += 1
             return
-        add, arm = self.recorder.add, self.arm
+        add = self.recorder.add
         records = decode(frame.payload)
         for can_id, data, created_at in records:
-            add(int.from_bytes(data, "little"), can_id, created_at, now, arm)
+            add(int.from_bytes(data, "little"), can_id, created_at, now)
         self.records_received += len(records)

@@ -11,7 +11,7 @@ import pytest
 
 from canavbsim.canbus import CanBus, CanMessage, can_frame_time
 from canavbsim.core import Simulator
-from canavbsim.gateway import MalformedPayload, pack, packed_size, unpack
+from canavbsim.gateway import MalformedPayload, decode, pack
 from canavbsim.scenario import ARMS, ScenarioConfig, build_network, run_experiment_suite
 
 SEED = 42
@@ -133,7 +133,7 @@ def test_a5_arbitration_matches_brute_force_oracle():
             sim.register(
                 f"drv{i}",
                 lambda ev, n=node, c=can_id, d=dlc: bus.transmit_request(
-                    n, CanMessage(c, bytes(d), ev.fire_at, source=n)
+                    CanMessage(c, bytes(d), ev.fire_at, source=n)
                 ),
             )
             sim.schedule(f"drv{i}", "go", t)
@@ -172,27 +172,27 @@ def test_a6_codec_round_trip_and_malformed_rejection():
                 )
             )
         buf = pack(msgs)
-        assert unpack(buf) == msgs
-        assert len(buf) == packed_size(msgs)
+        assert [CanMessage(*record) for record in decode(buf)] == msgs
+        assert len(buf) == 2 + sum(13 + m.dlc for m in msgs)
 
     rejected = 0
     sample = [CanMessage(9, b"\x01\x02", 5), CanMessage(1033, bytes(8), 2**40)]
     buf = pack(sample)
     for cut in range(len(buf)):  # truncation at every boundary
         with pytest.raises(MalformedPayload):
-            unpack(buf[:cut])
+            decode(buf[:cut])
         rejected += 1
     bad_dlc = bytearray(buf)
     bad_dlc[6] = 9
     with pytest.raises(MalformedPayload):
-        unpack(bytes(bad_dlc))
+        decode(bytes(bad_dlc))
     rejected += 1
     with pytest.raises(MalformedPayload):
-        unpack(buf + b"\x00")  # count mismatch: trailing bytes
+        decode(buf + b"\x00")  # count mismatch: trailing bytes
     inflated = bytearray(buf)
     inflated[0:2] = (3).to_bytes(2, "little")  # count mismatch: missing record
     with pytest.raises(MalformedPayload):
-        unpack(bytes(inflated))
+        decode(bytes(inflated))
     rejected += 2
     with criterion(
         f"A6 codec: {trials} random round-trips byte-exact, {rejected} malformed inputs rejected"

@@ -8,6 +8,7 @@ from canavbsim.canbus import (
     STUFFING_NONE,
     STUFFING_WORST_CASE,
     CanBus,
+    CanError,
     CanMessage,
     DuplicateIdContention,
     InvalidDlc,
@@ -120,9 +121,16 @@ def make_bus(**kwargs):
     return sim, bus, inboxes
 
 
+def test_transmit_request_from_unattached_source_raises():
+    sim, bus, inboxes = make_bus()
+    with pytest.raises(CanError, match="'z' not attached"):
+        bus.transmit_request(msg(5, "z"))
+    assert bus.queued_messages() == 0
+
+
 def test_idle_bus_delivers_to_all_peers_after_frame_time():
     sim, bus, inboxes = make_bus()
-    sim.register("drv", lambda ev: bus.transmit_request("a", msg(5, "a", created_at=ev.fire_at)))
+    sim.register("drv", lambda ev: bus.transmit_request(msg(5, "a", created_at=ev.fire_at)))
     sim.schedule("drv", "go", 1_000)
     sim.run_until(1_000_000)
     assert inboxes["a"] == []  # sender does not hear its own frame
@@ -135,8 +143,8 @@ def test_idle_bus_delivers_to_all_peers_after_frame_time():
 
 def test_same_instant_requests_resolve_by_priority():
     sim, bus, inboxes = make_bus()
-    sim.register("drv_a", lambda ev: bus.transmit_request("a", msg(7, "a", ev.fire_at)))
-    sim.register("drv_b", lambda ev: bus.transmit_request("b", msg(3, "b", ev.fire_at)))
+    sim.register("drv_a", lambda ev: bus.transmit_request(msg(7, "a", ev.fire_at)))
+    sim.register("drv_b", lambda ev: bus.transmit_request(msg(3, "b", ev.fire_at)))
     # id 7's request dispatches first; arbitration still picks id 3.
     sim.schedule("drv_a", "go", 0)
     sim.schedule("drv_b", "go", 0)
@@ -147,8 +155,8 @@ def test_same_instant_requests_resolve_by_priority():
 
 def test_busy_bus_request_waits_until_busy_until():
     sim, bus, inboxes = make_bus()
-    sim.register("drv_a", lambda ev: bus.transmit_request("a", msg(5, "a", ev.fire_at)))
-    sim.register("drv_b", lambda ev: bus.transmit_request("b", msg(2, "b", ev.fire_at)))
+    sim.register("drv_a", lambda ev: bus.transmit_request(msg(5, "a", ev.fire_at)))
+    sim.register("drv_b", lambda ev: bus.transmit_request(msg(2, "b", ev.fire_at)))
     sim.schedule("drv_a", "go", 0)
     sim.schedule("drv_b", "go", 50_000)  # mid-transmission; must not preempt
     sim.run_until(1_000_000)
@@ -161,7 +169,7 @@ def test_per_sender_fifo_order():
 
     def burst(ev):
         for i in range(5):
-            bus.transmit_request("a", CanMessage(0x10, bytes([i] + [0] * 7), ev.fire_at, source="a"))
+            bus.transmit_request(CanMessage(0x10, bytes([i] + [0] * 7), ev.fire_at, source="a"))
 
     sim.register("drv", burst)
     sim.schedule("drv", "go", 0)
@@ -175,7 +183,7 @@ def test_node_queue_cap_counts_overflow():
     bus = CanBus(sim, node_queue_cap=1)
     bus.attach("a")
     bus.attach("b")
-    sim.register("drv", lambda ev: [bus.transmit_request("a", msg(i, "a", dlc=0)) for i in (1, 2, 3)])
+    sim.register("drv", lambda ev: [bus.transmit_request(msg(i, "a", dlc=0)) for i in (1, 2, 3)])
     sim.schedule("drv", "go", 0)
     sim.run_until(1_000_000)
     # All three land in the same instant, before arbitration pops the head:
@@ -189,7 +197,7 @@ def test_utilization_sanity_and_non_preemption():
 
     def burst(ev):
         for node, can_id in (("a", 9), ("b", 4), ("c", 6)):
-            bus.transmit_request(node, msg(can_id, node, ev.fire_at))
+            bus.transmit_request(msg(can_id, node, ev.fire_at))
 
     sim.register("drv", burst)
     sim.schedule("drv", "go", 0)
@@ -221,7 +229,7 @@ def test_random_contention_matches_brute_force_replay():
             bus.attach(node)
         bus.attach("obs", lambda m, t: seen.append((m.can_id, t)))
         for i, (t, node, can_id) in enumerate(requests):
-            sim.register(f"drv{i}", lambda ev, n=node, c=can_id: bus.transmit_request(n, msg(c, n, ev.fire_at)))
+            sim.register(f"drv{i}", lambda ev, n=node, c=can_id: bus.transmit_request(msg(c, n, ev.fire_at)))
             sim.schedule(f"drv{i}", "go", t)
         sim.run_until(100_000_000)
 
@@ -253,7 +261,7 @@ def test_cached_frame_times_match_can_frame_time(stuffing):
     bus.attach("a")
     bus.attach("b", lambda m, t: done.append((len(m.payload), t)))
     for dlc in dlcs:
-        bus.transmit_request("a", msg(0x100, "a", created_at=0, dlc=dlc))
+        bus.transmit_request(msg(0x100, "a", created_at=0, dlc=dlc))
     sim.run_until(10_000_000)
     times = [can_frame_time(dlc, bus.bitrate, stuffing) for dlc in dlcs]
     assert [d for d, _ in done] == dlcs

@@ -148,10 +148,10 @@ def test_cancel_from_handler_drops_same_instant_event():
 
 def test_event_is_an_immutable_heap_entry():
     sim = Simulator()
-    ev = sim.schedule("a", "x", 5, payload="p")
+    ev = sim.schedule("a", "x", 5)
     assert isinstance(ev, Event)
-    assert ev == (5, 0, "a", "x", "p")
-    assert (ev.fire_at, ev.seq, ev.target, ev.kind, ev.payload) == (5, 0, "a", "x", "p")
+    assert ev == (5, 0, "a", "x")
+    assert (ev.fire_at, ev.seq, ev.target, ev.kind) == (5, 0, "a", "x")
     with pytest.raises(AttributeError):
         ev.fire_at = 6
     with pytest.raises(AttributeError):

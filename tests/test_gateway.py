@@ -13,10 +13,13 @@ from canavbsim.gateway import (
     GwConfig,
     MalformedPayload,
     PayloadOverflow,
+    decode,
     pack,
-    packed_size,
-    unpack,
 )
+
+
+def decoded_messages(payload):
+    return [CanMessage(*record) for record in decode(payload)]
 
 
 def rand_messages(rng, n=None):
@@ -53,17 +56,16 @@ def test_pack_known_offsets():
 def test_packed_size_formula():
     rng = random.Random(5)
     msgs = rand_messages(rng, 10)
-    assert packed_size(msgs) == 2 + sum(13 + m.dlc for m in msgs)
-    assert len(pack(msgs)) == packed_size(msgs)
+    assert len(pack(msgs)) == 2 + sum(13 + m.dlc for m in msgs)
 
 
 def test_roundtrip_random_lists():
     rng = random.Random(77)
     for _ in range(1_000):
         msgs = rand_messages(rng)
-        if packed_size(msgs) > 1500:
+        if 2 + sum(13 + m.dlc for m in msgs) > 1500:
             msgs = msgs[:40]
-        assert unpack(pack(msgs)) == msgs
+        assert decoded_messages(pack(msgs)) == msgs
 
 
 def test_pack_overflow():
@@ -76,24 +78,24 @@ def test_unpack_rejects_truncation_at_every_boundary():
     buf = pack([CanMessage(5, b"\x01\x02\x03", 42), CanMessage(6, b"", 43)])
     for cut in range(len(buf)):
         with pytest.raises(MalformedPayload):
-            unpack(buf[:cut])
+            decode(buf[:cut])
 
 
 def test_unpack_rejects_bad_dlc():
     buf = bytearray(pack([CanMessage(5, b"", 42)]))
     buf[6] = 9
     with pytest.raises(MalformedPayload):
-        unpack(bytes(buf))
+        decode(bytes(buf))
 
 
 def test_unpack_rejects_count_mismatch():
     buf = pack([CanMessage(5, b"\x01", 42)])
     with pytest.raises(MalformedPayload):
-        unpack(buf + b"\x00")  # trailing byte after the declared records
+        decode(buf + b"\x00")  # trailing byte after the declared records
     short = bytearray(buf)
     short[0:2] = (2).to_bytes(2, "little")  # count says two records
     with pytest.raises(MalformedPayload):
-        unpack(bytes(short))
+        decode(bytes(short))
 
 
 def test_gwconfig_validates():
@@ -161,7 +163,7 @@ def test_pack_timer_single_message_frame_shape():
     assert frame.payload_len == 46  # padded to the Ethernet minimum
     assert frame.pcp == AVB_PCP
     assert frame.ethertype == ETHERTYPE_CAN_TUNNEL
-    assert unpack(frame.payload) == [CanMessage(0x123, bytes(8), 100)]
+    assert decoded_messages(frame.payload) == [CanMessage(0x123, bytes(8), 100)]
 
 
 def test_pack_timer_drains_greedily_and_keeps_leftover():
@@ -172,7 +174,7 @@ def test_pack_timer_drains_greedily_and_keeps_leftover():
     gw.start()
     sim.run_until(0)
     [(frame, _)] = sent
-    records = unpack(frame.payload)
+    records = decoded_messages(frame.payload)
     assert len(records) == 71
     assert len(frame.payload) == 1493
     assert len(gw.fifo) == 9
@@ -181,7 +183,7 @@ def test_pack_timer_drains_greedily_and_keeps_leftover():
     assert [int.from_bytes(m.payload, "little") for m in gw.fifo] == list(range(71, 80))
     sim.run_until(500_000)
     assert len(sent) == 2
-    assert len(unpack(sent[1][0].payload)) == 9
+    assert len(decoded_messages(sent[1][0].payload)) == 9
 
 
 def test_pack_timer_period_spacing():

@@ -20,6 +20,13 @@ def rec(seq, created, delivered, arm="AVB_nature", can_id=0x100):
     return LatencyRecord(seq, can_id, created, delivered, arm)
 
 
+def recorder_of(records, arm="AVB_nature"):
+    r = LatencyRecorder(arm)
+    for x in records:
+        r.add(x.seq, x.can_id, x.created_at, x.delivered_at)
+    return r
+
+
 def test_record_rejects_negative_latency():
     with pytest.raises(MetricsError):
         rec(0, 100, 99)
@@ -27,7 +34,7 @@ def test_record_rejects_negative_latency():
 
 def test_single_record_summary():
     r = LatencyRecorder()
-    r.record(rec(0, 0, 5_000))
+    r.add(0, 0x100, 0, 5_000)
     s = r.summarize()
     assert (s.count, s.min, s.max, s.mean, s.p50, s.p99) == (1, 5_000, 5_000, 5_000.0, 5_000, 5_000)
 
@@ -45,7 +52,7 @@ def test_summary_nearest_rank_hand_computed():
     # series 1,2,3,4 us: p50 = 2nd smallest, p99 = 4th smallest
     r = LatencyRecorder()
     for i, lat in enumerate([1_000, 2_000, 3_000, 4_000]):
-        r.record(rec(i, 0, lat))
+        r.add(i, 0x100, 0, lat)
     s = r.summarize()
     assert s.min == 1_000
     assert s.max == 4_000
@@ -57,7 +64,7 @@ def test_summary_nearest_rank_hand_computed():
 def test_constant_series_collapses():
     r = LatencyRecorder()
     for i in range(10):
-        r.record(rec(i, 0, 7_777))
+        r.add(i, 0x100, 0, 7_777)
     s = r.summarize()
     assert s.min == s.max == s.p50 == s.p99 == 7_777
     assert s.mean == 7_777.0
@@ -68,19 +75,19 @@ def test_summary_permutation_invariant():
     lats = [rng.randrange(1, 10**7) for _ in range(200)]
     a, b = LatencyRecorder(), LatencyRecorder()
     for i, lat in enumerate(lats):
-        a.record(rec(i, 0, lat))
+        a.add(i, 0x100, 0, lat)
     shuffled = list(enumerate(lats))
     rng.shuffle(shuffled)
     for i, lat in shuffled:
-        b.record(rec(i, 0, lat))
+        b.add(i, 0x100, 0, lat)
     sa, sb = a.summarize(), b.summarize()
     assert (sa.min, sa.max, sa.mean, sa.p50, sa.p99) == (sb.min, sb.max, sb.mean, sb.p50, sb.p99)
 
 
 def test_out_of_order_delivery_accepted():
     r = LatencyRecorder()
-    r.record(rec(1, 3_000_000, 3_500_000))
-    r.record(rec(0, 0, 600_000))
+    r.add(1, 0x100, 3_000_000, 3_500_000)
+    r.add(0, 0x100, 0, 600_000)
     assert r.summarize().count == 2
 
 
@@ -94,14 +101,14 @@ def test_percentile_nearest_rank_direct():
 
 def test_export_empty_series_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    export_csv([], path)
+    export_csv(LatencyRecorder().records, path)
     assert path.read_bytes() == b"seq,can_id,created_at_ns,delivered_at_ns,latency_ns,arm\n"
 
 
 def test_export_rows_in_creation_time_order(tmp_path):
     records = [rec(1, 3_000_000, 3_600_000), rec(0, 0, 550_000)]
     path = tmp_path / "out.csv"
-    export_csv(records, path)
+    export_csv(recorder_of(records).records, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("0,256,0,550000,550000,")
@@ -115,8 +122,8 @@ def test_export_deterministic_bytes_and_roundtrip(tmp_path):
         created = i * 3_000_000
         records.append(rec(i, created, created + rng.randrange(500_000, 900_000)))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_csv(records, p1)
-    export_csv(list(records), p2)
+    export_csv(recorder_of(records).records, p1)
+    export_csv(recorder_of(records).records, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert len(p1.read_text().splitlines()) == 335
     assert read_csv(p1) == sorted(records, key=lambda r: (r.created_at, r.seq))
@@ -133,7 +140,7 @@ def test_export_order_equals_created_at_seq_tuple_order(tmp_path):
     ]
     rng.shuffle(records)
     path = tmp_path / "out.csv"
-    export_csv(records, path)
+    export_csv(recorder_of(records).records, path)
     expected = sorted(records, key=lambda r: (r.created_at, r.seq))
     assert read_csv(path) == expected
 
@@ -157,29 +164,25 @@ def test_percentile_rank_is_exact_not_truncated():
     ],
 )
 def test_out_of_range_field_is_a_metrics_error(fields):
-    r = LatencyRecorder()
-    r.add(7, 0x100, 0, 5, "arm")
+    r = LatencyRecorder("arm")
+    r.add(7, 0x100, 0, 5)
     with pytest.raises(MetricsError, match="does not fit"):
-        r.add(*fields, "arm")
-    with pytest.raises(MetricsError, match="does not fit"):
-        r.record(LatencyRecord(*fields, "arm"))
+        r.add(*fields)
     # The failed row left no partial column behind.
-    assert [len(c) for c in (r.seq, r.can_id, r.created_at, r.delivered_at, r.arm)] == [1] * 5
+    assert [len(c) for c in (r.seq, r.can_id, r.created_at, r.delivered_at)] == [1] * 4
     assert list(r.records) == [LatencyRecord(7, 0x100, 0, 5, "arm")]
 
 
 def test_add_rejects_negative_latency():
     r = LatencyRecorder()
     with pytest.raises(MetricsError, match="precedes"):
-        r.add(0, 0x100, 100, 99, "arm")
+        r.add(0, 0x100, 100, 99)
     assert len(r.records) == 0
 
 
 def test_records_view_is_a_read_only_sequence():
-    r = LatencyRecorder()
     records = [rec(i, 10 * i, 10 * i + 5 + i) for i in range(4)]
-    for x in records:
-        r.record(x)
+    r = recorder_of(records)
     view = r.records
     assert len(view) == 4
     assert view[0] == records[0] and view[-1] == records[-1]
@@ -189,19 +192,8 @@ def test_records_view_is_a_read_only_sequence():
     with pytest.raises(IndexError):
         view[4]
     assert not hasattr(view, "append")
-    r.add(9, 1, 0, 1, "late")
+    r.add(9, 1, 0, 1)
     assert view is r.records and len(view) == 5
-
-
-def test_export_of_a_list_equals_export_of_the_recorder(tmp_path):
-    rng = random.Random(11)
-    records = [rec(rng.randrange(4), rng.randrange(3) * 1_000, 10_000 + i) for i in range(50)]
-    r = LatencyRecorder()
-    for x in records:
-        r.record(x)
-    export_csv(records, tmp_path / "list.csv")
-    export_csv(r.records, tmp_path / "view.csv")
-    assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "view.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

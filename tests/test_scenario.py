@@ -82,6 +82,30 @@ def test_jammer_period_inversion_rejected():
         parse_config("[traffic.jammer]\nperiod_lo = 30us\nperiod_hi = 25us\n")
 
 
+def test_zero_jammer_periods_rejected():
+    # All-zero gaps would tick forever at t = 0; parsing alone must refuse them.
+    with pytest.raises(ValidationError, match="period_hi"):
+        parse_config("[traffic.jammer]\nperiod_lo = 0\nperiod_hi = 0\n")
+    assert parse_config("[traffic.jammer]\nperiod_lo = 0\nperiod_hi = 1ns\n").jammer_period_hi == 1
+
+
+@pytest.mark.parametrize(
+    "key", ["can.node_queue_cap", "switches.avb_queue_cap", "switches.be_queue_cap", "gateway.queue_cap"]
+)
+def test_negative_queue_cap_rejected(key):
+    with pytest.raises(ValidationError, match=re.escape(key)):
+        parse_config(f"{key} = -1\n")
+    parse_config(f"{key} = 0\n")  # a cap of 0 stays valid
+
+
+def test_mtu_that_cannot_hold_one_sender_record_rejected():
+    # A dlc-8 record needs 2 + 13 + 8 = 23 payload bytes.
+    with pytest.raises(ValidationError, match="gateway.mtu_payload.*traffic.sender.dlc"):
+        parse_config("gateway.mtu_payload = 20\n")
+    assert parse_config("gateway.mtu_payload = 23\n").gw_mtu_payload == 23
+    assert parse_config("gateway.mtu_payload = 15\ntraffic.sender.dlc = 0\n").gw_mtu_payload == 15
+
+
 def test_unknown_key_rejected_with_line_number():
     with pytest.raises(ValidationError, match="line 2"):
         parse_config("sim.seed = 1\nsim.sed = 2\n")
@@ -322,15 +346,20 @@ def test_cli_rejects_horizon_beyond_u64_timestamps(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ValidationError:")
 
 
-def test_cli_override_validated_before_outputs_are_touched(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "bad_text,bad_flags",
+    [
+        pytest.param("", ["--duration", "36893488147419200000ns"], id="duration_flag"),
+        pytest.param("[traffic.sender]\nstart = -1ns\n", [], id="negative_sender_start"),
+    ],
+)
+def test_cli_override_validated_before_outputs_are_touched(tmp_path, capsys, bad_text, bad_flags):
     cfg = write_cfg(tmp_path, "[sim]\nduration = 10ms\n")
     out = tmp_path / "v"
     assert cli_main(["run", cfg, "--trace", "--queue-trace", "--out", str(out)]) == 0
     before = {name: (out / name).read_bytes() for name in ("trace.csv", "queue_trace.csv")}
-    code = cli_main(
-        ["run", cfg, "--duration", "36893488147419200000ns", "--trace", "--queue-trace",
-         "--out", str(out)]
-    )
+    cfg = write_cfg(tmp_path, "[sim]\nduration = 10ms\n" + bad_text)
+    code = cli_main(["run", cfg, *bad_flags, "--trace", "--queue-trace", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ValidationError:")
     assert {name: (out / name).read_bytes() for name in before} == before

@@ -114,7 +114,7 @@ def can_frame(messages, pcp=3):
 
 
 def test_listener_single_record_latency_definition():
-    listener = Listener("listener", LatencyRecorder(), arm="AVB_nature")
+    listener = Listener("listener", LatencyRecorder("AVB_nature"))
     listener.on_frame_received(can_frame([CanMessage(5, (9).to_bytes(8, "little"), 1_000)]), 2_500)
     [rec] = listener.recorder.records
     assert rec.latency == 1_500
