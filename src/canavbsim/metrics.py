@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 from array import array
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import filterfalse, islice, repeat
 from math import ceil
-from operator import lt, sub
+from operator import lt, rshift, sub
 from pathlib import Path
 
 from .core import SimulationError
@@ -54,15 +56,62 @@ class RunSummary:
     drops: dict[str, int] = field(default_factory=dict)
 
 
-def percentile_nearest_rank(sorted_values: Sequence[int], pct: float) -> int:
-    """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
-    if not sorted_values:
+def nearest_rank(pct: float, n: int) -> int:
+    """1-based rank of the nearest-rank percentile pct of n values: ceil(pct/100 * n)."""
+    if not n:
         raise MetricsError("percentile of an empty series")
     if not 0 < pct <= 100:
         raise MetricsError(f"percentile must be in (0, 100], got {pct}")
     # Exact rank: pct as written (50.25, not its binary float), no truncation.
-    rank = ceil(Fraction(str(pct)) * len(sorted_values) / 100)
-    return sorted_values[rank - 1]
+    return ceil(Fraction(str(pct)) * n / 100)
+
+
+def percentile_nearest_rank(sorted_values: Sequence[int], pct: float) -> int:
+    """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
+    return sorted_values[nearest_rank(pct, len(sorted_values)) - 1]
+
+
+_BUCKET_BITS = 12  # a pass counts each open window in at most 2**12 + 1 buckets
+
+
+def _select_ranks(
+    values: Callable[[], Iterator[int]], lo: int, hi: int, ranks: Iterable[int]
+) -> dict[int, int]:
+    """Exact order statistics: the rank-th smallest (1-based) of the series
+    that each call of ``values()`` iterates, for every rank in ``ranks``;
+    every value lies in [lo, hi].
+
+    Each pass counts the values inside the still-open windows by
+    ``value >> shift`` and narrows each rank's window to the bucket that
+    holds it, until ``shift`` is 0; all ranks share each pass.  A 64-bit
+    range takes at most 6 passes, and the extra memory is the bucket counts,
+    whatever the length of the series.
+    """
+    found = {}
+    open_ranks = {rank: (lo, hi, rank) for rank in ranks}  # rank -> window, rank inside it
+    while open_ranks:
+        windows = sorted({(a, b) for a, b, _ in open_ranks.values()})
+        shift = max(0, max(b - a for a, b in windows).bit_length() - _BUCKET_BITS)
+        kept = values()
+        if windows != [(lo, hi)]:  # the first pass keeps every value
+            kept = filter(range(windows[0][0], windows[-1][1] + 1).__contains__, kept)
+            for (_, b), (a, _) in zip(windows, windows[1:]):
+                kept = filterfalse(range(b + 1, a).__contains__, kept)
+        counts = Counter(map(rshift, kept, repeat(shift)))
+        keys = sorted(counts)
+        for rank, (a, b, inner) in list(open_ranks.items()):
+            i = bisect_left(keys, a >> shift)
+            while counts[keys[i]] < inner:
+                inner -= counts[keys[i]]
+                i += 1
+            key = keys[i]
+            a, b = max(a, key << shift), min(b, ((key + 1) << shift) - 1)
+            if a == b:
+                found[rank] = a
+                del open_ranks[rank]
+            else:
+                open_ranks[rank] = (a, b, inner)
+    return found
 
 
 def _precedes(created_at: int, delivered_at: int) -> MetricsError:
@@ -93,8 +142,10 @@ class LatencyRecords(Sequence):
 
 class LatencyRecorder:
     """Accumulates one run's records in delivery order, one typed column per
-    field and no object per record; ``arm`` labels every record.  Summaries
-    are computed from the complete series (no streaming approximation)."""
+    field and no object per record; ``arm`` labels every record.  ``summarize``
+    is exact over the complete series (nearest-rank p50 and p99, no streaming
+    approximation) and selects in passes over the columns, so it adds no
+    memory per record."""
 
     __slots__ = ("seq", "can_id", "created_at", "delivered_at", "arm", "records")
 
@@ -129,14 +180,21 @@ class LatencyRecorder:
         drops = dict(drops or {})
         if not self.delivered_at:
             return RunSummary(count=0, jam_frames=jam_frames, drops=drops)
-        lat = sorted(map(sub, self.delivered_at, self.created_at))
+
+        def latencies():
+            return map(sub, self.delivered_at, self.created_at)
+
+        n = len(self.delivered_at)
+        lo, hi = min(latencies()), max(latencies())
+        p50, p99 = nearest_rank(50, n), nearest_rank(99, n)
+        at = _select_ranks(latencies, lo, hi, (p50, p99))
         return RunSummary(
-            count=len(lat),
-            min=lat[0],
-            max=lat[-1],
-            mean=sum(lat) / len(lat),
-            p50=percentile_nearest_rank(lat, 50),
-            p99=percentile_nearest_rank(lat, 99),
+            count=n,
+            min=lo,
+            max=hi,
+            mean=sum(latencies()) / n,
+            p50=at[p50],
+            p99=at[p99],
             jam_frames=jam_frames,
             drops=drops,
         )

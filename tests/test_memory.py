@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+from canavbsim.metrics import LatencyRecorder
 from canavbsim.scenario import ScenarioConfig, arm_config, build_network, parse_config
 
 # What a default AVB_jam run may legitimately keep growing: the best-effort
@@ -59,3 +60,32 @@ def test_can_heavy_run_keeps_no_object_per_record():
     (bytes0, records0), (bytes1, records1) = samples
     assert records1 - records0 > 5_000
     assert bytes1 - bytes0 <= BYTES_PER_COLUMN_ROW * (records1 - records0)
+
+
+# summarize keeps no copy of the series: its extra memory is the counts of
+# at most 2**12 + 1 histogram buckets per open window (about 300 kB when the
+# latencies fill every bucket), whatever the number of records.
+SUMMARIZE_PEAK_BOUND = 512 * 1024
+SUMMARIZE_PEAK_SLACK = 16 * 1024
+
+
+def test_summarize_extra_memory_does_not_grow_with_the_record_count():
+    # 4,096 rows spread over 2**24 ns put one row in every bucket of the first
+    # pass. The other rows hold latencies of at most 256 ns with created_at 0:
+    # CPython shares ints that small, so the min, max and sum passes allocate
+    # no int for those rows, and the test stays under a second although
+    # tracemalloc costs microseconds per allocation.
+    spread = [(k << 12) | 0x800 for k in range(4_096)]
+    peaks = []
+    for n in (20_000, 200_000):
+        recorder = LatencyRecorder()
+        for i, lat in enumerate(spread + [i % 257 for i in range(n - len(spread))]):
+            recorder.add(i, 0x100, 0, lat)
+        tracemalloc.start()
+        try:
+            recorder.summarize()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < SUMMARIZE_PEAK_BOUND
+    assert peaks[1] - peaks[0] < SUMMARIZE_PEAK_SLACK

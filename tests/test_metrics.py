@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from canavbsim.metrics import (
     CSV_HEADER,
@@ -219,3 +220,40 @@ def test_read_csv_empty_file_is_a_metrics_error(tmp_path):
     path.write_text("")
     with pytest.raises(MetricsError, match="unexpected CSV header"):
         read_csv(path)
+
+
+U64 = 2**64 - 1
+
+latency_series = st.one_of(
+    st.lists(st.integers(0, U64), min_size=1, max_size=2_000),
+    st.lists(st.integers(0, 10**7), min_size=1, max_size=2_000),
+    st.builds(lambda v, n: [v] * n, st.integers(0, U64), st.integers(1, 2_000)),
+    st.lists(st.sampled_from([0, U64]), min_size=1, max_size=2_000),
+    st.builds(
+        lambda base, cluster, outlier: [base + d for d in cluster] + [outlier],
+        st.integers(0, 10**9),
+        st.lists(st.integers(0, 64), min_size=1, max_size=2_000),
+        st.integers(0, U64),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(latency_series, st.randoms(use_true_random=False))
+@example([5_000], random.Random(0))  # n = 1
+@example([7] * 1_000, random.Random(0))  # all equal
+@example([0, U64, 0, U64, U64], random.Random(0))  # both ends of the u64 column
+@example([10**6 + i % 3 for i in range(1_999)] + [U64], random.Random(0))  # cluster + outlier
+@example(list(range(2_000, 0, -1)), random.Random(0))
+def test_summary_equals_the_sorted_list_reference(latencies, rng):
+    r = LatencyRecorder()
+    for i, lat in enumerate(latencies):
+        created = rng.randrange(2**64 - lat)
+        r.add(i, 0x100, created, created + lat)
+    s = r.summarize()
+    ref = sorted(latencies)
+    n = len(ref)
+    # Nearest rank ceil(pct * n / 100), in integers.
+    p50, p99 = ref[-(-50 * n // 100) - 1], ref[-(-99 * n // 100) - 1]
+    assert (s.count, s.min, s.max, s.p50, s.p99) == (n, ref[0], ref[-1], p50, p99)
+    assert s.mean == sum(ref) / n

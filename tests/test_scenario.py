@@ -193,6 +193,38 @@ def test_end_to_end_fifo_and_completeness():
     assert acct["created"] == acct["delivered"] + acct["in_flight"] + acct["dropped"]
 
 
+def seq_runs(records):
+    """Each can_id's delivered seqs, in creation order."""
+    runs = {}
+    for r in sorted(records, key=lambda r: r.created_at):
+        runs.setdefault(r.can_id, []).append(r.seq)
+    return runs
+
+
+def test_seq_continuity_per_can_id_in_the_suite(suite):
+    result, _ = suite
+    for arm, run in result.results.items():
+        wrap = 1 << (8 * run.network.sender.cfg.dlc)
+        for can_id, seqs in seq_runs(run.records).items():
+            assert seqs == [i % wrap for i in range(len(seqs))], (arm, can_id)
+
+
+def test_seq_continuity_across_the_one_byte_wrap():
+    result = run_scenario(parse_config("[sim]\nseed = 42\n[traffic.sender]\ndlc = 1\n"))
+    (seqs,) = seq_runs(result.records).values()
+    assert len(seqs) > 256
+    assert seqs == [i % 256 for i in range(len(seqs))]
+
+
+def test_seq_at_dlc_0_is_always_0():
+    # A dlc-0 message carries no payload, so its seq is 0 modulo 2**0 = 1:
+    # such a seq carries no information, and the listener cannot tell loss,
+    # duplication or reordering from it.
+    result = run_scenario(parse_config("[sim]\nseed = 42\n[traffic.sender]\ndlc = 0\n"))
+    assert len(result.records) > 1
+    assert {r.seq for r in result.records} == {0}
+
+
 def test_eth_jam_latency_grows_after_warmup():
     cfg = arm_config(ScenarioConfig(duration=500_000_000), "Eth_jam")
     result = run_scenario(cfg)
