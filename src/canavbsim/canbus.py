@@ -169,11 +169,6 @@ class CanBus:
         self._schedule_arbitration()
         return True
 
-    def pending_heads(self) -> list[CanMessage]:
-        # A list, not a set: messages with equal content from different nodes
-        # must both contend (equality ignores source).
-        return [q[0] for q in self._queues.values() if q]
-
     def queued_messages(self) -> int:
         n = sum(len(q) for q in self._queues.values())
         return n + (1 if self._transmitting is not None else 0)
@@ -183,9 +178,10 @@ class CanBus:
         # landing at this instant contends, matching SOF behavior.
         if self._arb_scheduled or self._transmitting is not None:
             return
+        # An idle bus is never busy past now: its last frame completed at
+        # busy_until, and the clock has reached that completion.
         self._arb_scheduled = True
-        now = self.sim.now
-        self.sim.schedule(self.name, "arbitrate", now if now > self.busy_until else self.busy_until)
+        self.sim.schedule(self.name, "arbitrate", self.sim.now)
 
     def _handle(self, ev: Event) -> None:
         if ev.kind == "arbitrate":
@@ -195,9 +191,9 @@ class CanBus:
             self._complete_transmission(ev.fire_at)
 
     def _start_transmission(self, now: int) -> None:
-        if self._transmitting is not None:
-            return
-        heads = self.pending_heads()
+        # A list, not a set: messages with equal content from different nodes
+        # must both contend (equality ignores source).
+        heads = [q[0] for q in self._queues.values() if q]
         if not heads:
             return
         winner = arbitrate(heads)

@@ -51,7 +51,8 @@ class Event(NamedTuple):
 
 @dataclass(slots=True)
 class RunStats:
-    """Result of a run_until call."""
+    """Result of a run_until call.  ``events_dispatched`` counts every event
+    the simulator has dispatched, over all calls."""
 
     events_dispatched: int
     clock: int
@@ -61,13 +62,13 @@ class Simulator:
     """Single-threaded event loop.  One instance owns one run's state.
 
     Entities register a handler under a unique name and schedule events
-    against it.  The optional ``trace`` callable receives every dispatched
-    event (used for the ``time_ns,seq,target,kind`` trace log).
+    against it.  Set ``trace`` to a callable before the run to receive every
+    dispatched event (used for the ``time_ns,seq,target,kind`` trace log).
     """
 
-    def __init__(self, trace: Callable[[Event], None] | None = None):
+    def __init__(self):
         self.now = 0
-        self.trace = trace
+        self.trace: Callable[[Event], None] | None = None
         self._heap: list[Event] = []
         self._cancelled: set[int] = set()  # seqs of cancelled, not yet popped events
         self._seq = 0
@@ -122,10 +123,6 @@ class Simulator:
         if t_end > self.now:
             self.now = t_end
         return RunStats(self._dispatched, self.now)
-
-    @property
-    def events_dispatched(self) -> int:
-        return self._dispatched
 
 
 def stream_rng(master_seed: int, stream_id: str) -> random.Random:

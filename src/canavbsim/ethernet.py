@@ -186,7 +186,6 @@ class EgressPort:
         peer: Any,
         avb_cap: int | None = None,
         be_cap: int | None = None,
-        depth_trace: Callable[[int, str, int, int, int], None] | None = None,
     ):
         self.sim = sim
         self.name = name
@@ -194,7 +193,9 @@ class EgressPort:
         self.peer = peer
         self.queues = PortQueueSet(avb_cap, be_cap)
         self.credit = CreditState(idle_slope, rate)
-        self.depth_trace = depth_trace
+        # Opt-in hooks, set before the run.  depth_trace receives
+        # (now, port name, avb depth, be depth, credit) at every queue change.
+        self.depth_trace: Callable[[int, str, int, int, int], None] | None = None
         self.on_drop: Callable[[EthFrame], None] | None = None
         # Opt-in transmission log: set to a list before the run to collect one
         # (start_ns, wire_bits, is_avb) entry per transmission.  None keeps

@@ -118,36 +118,17 @@ def _precedes(created_at: int, delivered_at: int) -> MetricsError:
     return MetricsError(f"delivered_at {delivered_at} precedes created_at {created_at}")
 
 
-class LatencyRecords(Sequence):
-    """Read-only view of a recorder's columns; each item is a LatencyRecord
-    built on access, carrying the recorder's arm label."""
+class LatencyRecorder(Sequence):
+    """One run's records in delivery order, kept as one typed column per
+    field and no object per record; ``arm`` labels every record.
 
-    __slots__ = ("_columns", "_arm")
+    The recorder is itself a read-only sequence of LatencyRecord: indexing,
+    slicing and iteration build each record on access, and ``add`` is the
+    one way in.  ``summarize`` is exact over the complete series
+    (nearest-rank p50 and p99, no streaming approximation) and selects in
+    passes over the columns, so it adds no memory per record."""
 
-    def __init__(self, columns: tuple, arm: str):
-        self._columns = columns  # seq, can_id, created_at, delivered_at
-        self._arm = arm
-
-    def __len__(self) -> int:
-        return len(self._columns[-1])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return LatencyRecord(*(column[index] for column in self._columns), self._arm)
-
-    def __iter__(self):
-        return map(LatencyRecord, *self._columns, repeat(self._arm))
-
-
-class LatencyRecorder:
-    """Accumulates one run's records in delivery order, one typed column per
-    field and no object per record; ``arm`` labels every record.  ``summarize``
-    is exact over the complete series (nearest-rank p50 and p99, no streaming
-    approximation) and selects in passes over the columns, so it adds no
-    memory per record."""
-
-    __slots__ = ("seq", "can_id", "created_at", "delivered_at", "arm", "records")
+    __slots__ = ("seq", "can_id", "created_at", "delivered_at", "arm")
 
     def __init__(self, arm: str = ""):
         self.seq = array("Q")
@@ -155,9 +136,22 @@ class LatencyRecorder:
         self.created_at = array("Q")
         self.delivered_at = array("Q")
         self.arm = arm
-        self.records = LatencyRecords(
-            (self.seq, self.can_id, self.created_at, self.delivered_at), arm
-        )
+
+    @property
+    def columns(self) -> tuple[array, array, array, array]:
+        """The seq, can_id, created_at and delivered_at columns, in that order."""
+        return self.seq, self.can_id, self.created_at, self.delivered_at
+
+    def __len__(self) -> int:
+        return len(self.delivered_at)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return LatencyRecord(*(column[index] for column in self.columns), self.arm)
+
+    def __iter__(self):
+        return map(LatencyRecord, *self.columns, repeat(self.arm))
 
     def add(self, seq: int, can_id: int, created_at: int, delivered_at: int) -> None:
         if delivered_at < created_at:
@@ -169,7 +163,7 @@ class LatencyRecorder:
             self.delivered_at.append(delivered_at)
         except OverflowError:
             n = len(self.delivered_at)  # appended last: drop the partial row
-            for column in (self.seq, self.can_id, self.created_at, self.delivered_at):
+            for column in self.columns:
                 del column[n:]
             raise MetricsError(
                 f"record (seq {seq}, can_id {can_id}, created_at {created_at}, "
@@ -211,18 +205,17 @@ def _creation_order(created_at: array, seq: array) -> list[int] | None:
     return order
 
 
-def export_csv(records: LatencyRecords, path: str | Path) -> None:
+def export_csv(recorder: LatencyRecorder, path: str | Path) -> None:
     """Write a recorder's records in (created_at, seq) order; byte output is
     deterministic."""
-    columns = records._columns
-    seq, _, created_at, _ = columns
-    order = _creation_order(created_at, seq)
+    columns = recorder.columns
+    order = _creation_order(recorder.created_at, recorder.seq)
     if order is not None:
         columns = [map(column.__getitem__, order) for column in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        arm = records._arm
+        arm = recorder.arm
         writer.writerows((s, i, c, d, d - c, arm) for s, i, c, d in zip(*columns))
 
 

@@ -24,7 +24,7 @@ from .canbus import STUFFING_MODELS, STUFFING_NONE, CAN_MAX_ID, CanBus
 from .core import NS_PER_SEC, Event, RunStats, SimulationError, Simulator, stream_rng
 from .ethernet import AVB_PCP, ETHERTYPE_CAN_TUNNEL, EgressPort, EthFrame, Switch
 from .gateway import COUNT_SIZE, RECORD_OVERHEAD, Gateway, GwConfig, record_count
-from .metrics import LatencyRecorder, LatencyRecords, RunSummary, export_csv
+from .metrics import LatencyRecorder, RunSummary, export_csv
 from .traffic import JammingTalker, JammingTalkerCfg, Listener, PeriodicCanSender, PeriodicCanSenderCfg
 
 ARMS = ("Eth_nature", "Eth_jam", "AVB_nature", "AVB_jam")
@@ -315,9 +315,9 @@ class Network:
     run, with conservation accounting.  Every hop owns one egress port;
     ``ports`` lists them left to right, then the talker's access port."""
 
-    def __init__(self, cfg: ScenarioConfig, trace=None, depth_trace=None):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.sim = sim = Simulator(trace=trace)
+        self.sim = sim = Simulator()
         self.records_in_dropped_frames = 0
         self.ports: list[EgressPort] = []
         self.recorder = LatencyRecorder(arm_name(cfg))
@@ -340,7 +340,6 @@ class Network:
                 peer=peer,
                 avb_cap=cfg.avb_queue_cap,
                 be_cap=cfg.be_queue_cap,
-                depth_trace=depth_trace,
             ))
 
         # Built from the listener back, so each hop's port exists before
@@ -361,9 +360,9 @@ class Network:
             attach = self.switches[cfg.jammer_attach_switch - 1]
             rng = stream_rng(cfg.seed, "talker")
             jcfg = cfg.jammer_config()
-            egress = attach
+            send = attach.on_frame_received
             if jcfg.link_rate is not None:
-                egress = self._track_port(EgressPort(
+                send = self._track_port(EgressPort(
                     sim,
                     f"port:talker->{attach.name}",
                     rate=jcfg.link_rate,
@@ -371,9 +370,8 @@ class Network:
                     # so a slow access link still has a valid shaper config.
                     idle_slope=min(cfg.idle_slope, jcfg.link_rate - 1),
                     peer=attach,
-                    depth_trace=depth_trace,
-                ))
-            self.talker = JammingTalker(sim, "talker", jcfg, rng, egress)
+                )).enqueue
+            self.talker = JammingTalker(sim, "talker", jcfg, rng, send)
 
     def _track_port(self, port: EgressPort) -> EgressPort:
         port.on_drop = self._count_dropped_records
@@ -422,7 +420,7 @@ class Network:
     def account(self) -> dict[str, int]:
         return {
             "created": self.sender.created,
-            "delivered": self.listener.records_received,
+            "delivered": len(self.recorder),
             "in_flight": self.messages_in_flight(),
             "dropped": self.messages_dropped(),
         }
@@ -443,15 +441,15 @@ class Network:
         return out
 
 
-def build_network(cfg: ScenarioConfig, trace=None, depth_trace=None) -> Network:
+def build_network(cfg: ScenarioConfig) -> Network:
     """Validate cfg and wire its network."""
-    return Network(validate_config(cfg), trace, depth_trace)
+    return Network(validate_config(cfg))
 
 
 @dataclass
 class ScenarioResult:
     arm: str
-    records: LatencyRecords
+    records: LatencyRecorder
     summary: RunSummary
     stats: RunStats
     network: Network
@@ -462,9 +460,12 @@ def run_scenario(
     trace_path: str | Path | None = None,
     depth_trace_path: str | Path | None = None,
 ) -> ScenarioResult:
-    """Build, run to cfg.duration, and summarize one scenario."""
+    """Build, run to cfg.duration, and summarize one scenario.
+
+    The config is validated before any trace file is opened, so an invalid
+    config leaves earlier traces as they were."""
+    net = build_network(cfg)
     with ExitStack() as files:
-        trace = None
         if trace_path:
             trace_file = files.enter_context(open(trace_path, "w"))
             trace_file.write("time_ns,seq,target,kind\n")
@@ -473,7 +474,7 @@ def run_scenario(
             def trace(ev: Event) -> None:
                 write("%d,%d,%s,%s\n" % ev)  # fire_at, seq, target, kind
 
-        depth_trace = None
+            net.sim.trace = trace
         if depth_trace_path:
             depth_file = files.enter_context(open(depth_trace_path, "w"))
             depth_file.write("time_ns,port,avb_depth,be_depth,credit\n")
@@ -481,10 +482,11 @@ def run_scenario(
             def depth_trace(now: int, port: str, avb: int, be: int, credit: int) -> None:
                 depth_file.write(f"{now},{port},{avb},{be},{credit}\n")
 
-        net = build_network(cfg, trace=trace, depth_trace=depth_trace)
+            for port in net.ports:
+                port.depth_trace = depth_trace
         stats = net.run()
     summary = net.recorder.summarize(jam_frames=net.listener.jam_frames, drops=net.drops())
-    return ScenarioResult(net.recorder.arm, net.recorder.records, summary, stats, net)
+    return ScenarioResult(net.recorder.arm, net.recorder, summary, stats, net)
 
 
 @dataclass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Callable
 
 from .canbus import CanBus, CanMessage
 from .core import Event, SimulationError, Simulator, uniform_draw
@@ -17,7 +17,6 @@ from .ethernet import (
     MIN_PAYLOAD,
     VLAN_TAG_BYTES,
     AVB_PCP,
-    EgressPort,
     EthFrame,
 )
 from .gateway import decode
@@ -115,24 +114,24 @@ class JammingTalkerCfg:
 class JammingTalker:
     """Emits filler frames with uniformly random inter-emission gaps.
 
-    ``egress`` is either an EgressPort (finite access link; frames queue
-    there while the link is busy) or any receiver with on_frame_received
-    (ideal attachment, used when cfg.link_rate is None).
+    ``send(frame, now)`` hands each frame to the next hop: an access
+    EgressPort's enqueue (finite link; frames queue there while the link is
+    busy) or a receiver's on_frame_received (ideal attachment, used when
+    cfg.link_rate is None).
     """
 
-    def __init__(self, sim: Simulator, name: str, cfg: JammingTalkerCfg, rng: random.Random, egress: Any):
+    def __init__(self, sim: Simulator, name: str, cfg: JammingTalkerCfg, rng: random.Random, send: Callable):
         self.sim = sim
         self.name = name
         self.cfg = cfg
         self.rng = rng
-        self.egress = egress
+        self._send = send
         # Every tick hands over this one immutable frame.
         self.frame = EthFrame(
             pcp=cfg.pcp,
             payload_len=cfg.payload_len,
             ethertype=ETHERTYPE_FILLER,
         )
-        self._send = egress.enqueue if isinstance(egress, EgressPort) else egress.on_frame_received
         sim.register(name, self._handle)
 
     def start(self) -> None:
@@ -153,14 +152,15 @@ class Listener:
         self.name = name
         self.recorder = recorder
         self.jam_frames = 0
-        self.records_received = 0
+
+    @property
+    def records_received(self) -> int:
+        return len(self.recorder)
 
     def on_frame_received(self, frame: EthFrame, now: int) -> None:
         if frame.ethertype != ETHERTYPE_CAN_TUNNEL:
             self.jam_frames += 1
             return
         add = self.recorder.add
-        records = decode(frame.payload)
-        for can_id, data, created_at in records:
+        for can_id, data, created_at in decode(frame.payload):
             add(int.from_bytes(data, "little"), can_id, created_at, now)
-        self.records_received += len(records)

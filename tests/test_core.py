@@ -178,7 +178,8 @@ def test_causality_clock_never_decreases():
 
 def test_trace_lines_match_dispatch_order():
     rows = []
-    sim = Simulator(trace=lambda ev: rows.append((ev.fire_at, ev.seq, ev.target, ev.kind)))
+    sim = Simulator()
+    sim.trace = lambda ev: rows.append((ev.fire_at, ev.seq, ev.target, ev.kind))
     sim.register("a", lambda ev: None)
     sim.schedule("a", "x", 5)
     sim.schedule("a", "y", 5)

@@ -259,6 +259,50 @@ def test_no_starvation_and_work_conservation_when_saturated():
     assert max(gaps) <= 123_360 + 493_440 + 123_360  # + the AVB frame itself
 
 
+def gated_port(arrivals):
+    """One 100 Mbps port with a 20 Mbps idle slope, fed 1500-byte frames of
+    the given (time_ns, pcp) by a driver entity; every event is traced."""
+    sim = Simulator()
+    sink = Sink()
+    port = EgressPort(sim, "p", RATE, 20_000_000, peer=sink)
+    traced = []
+    sim.trace = traced.append
+    sim.register("drv", lambda ev: port.enqueue(frames.pop(ev.seq), ev.fire_at))
+    frames = {sim.schedule("drv", "send", at).seq: frame(pcp, 1500) for at, pcp in arrivals}
+    return sim, port, sink, traced
+
+
+def test_gated_avb_frame_waits_for_the_credit_ready_wakeup():
+    # A tagged 1500-byte frame takes 123.36 us and drains credit at 80 Mbps;
+    # at the 20 Mbps idle slope the deficit takes 4 x 123.36 = 493.44 us to
+    # recover, so the second frame starts at the wakeup at 616.8 us.
+    sim, port, sink, traced = gated_port([(0, AVB_PCP), (0, AVB_PCP)])
+    stats = sim.run_until(10_000_000)
+    assert [when for _, when in sink.received] == [123_360, 740_160]
+    assert [ev.fire_at for ev in traced if ev.kind == "credit_ready"] == [616_800]
+    assert stats.events_dispatched == 5
+
+
+def test_best_effort_frame_cancels_the_pending_wakeup():
+    # The best-effort frame finds the link idle with AVB gated: it starts at
+    # once (123.04 us untagged) and cancels the pending wakeup.  Credit keeps
+    # recovering while it is on the wire, so the re-armed wakeup fires at the
+    # same 616.8 us.
+    sim, port, sink, traced = gated_port([(0, AVB_PCP), (0, AVB_PCP), (200_000, 0)])
+    sim.run_until(199_999)
+    pending = port._wakeup
+    assert pending.fire_at == 616_800
+    stats = sim.run_until(10_000_000)
+    assert [(fr.pcp, when) for fr, when in sink.received] == [
+        (AVB_PCP, 123_360), (0, 323_040), (AVB_PCP, 740_160)
+    ]
+    assert pending not in traced  # neither dispatched nor traced
+    assert [ev.fire_at for ev in traced if ev.kind == "credit_ready"] == [616_800]
+    assert [ev.kind for ev in traced].count("send") == 3
+    assert [ev.kind for ev in traced].count("tx_complete") == 3
+    assert stats.events_dispatched == len(traced) == 7
+
+
 def test_credit_reset_invariant_after_drain():
     sim = Simulator()
     sink = Sink()

@@ -147,9 +147,9 @@ def test_fifo_cap_counts_overflow():
 def test_pack_timer_empty_fifo_emits_nothing():
     sim, gw, sent = make_gw()
     gw.start()
-    sim.run_until(2_000_000)  # four ticks, nothing queued
+    stats = sim.run_until(2_000_000)  # four ticks, nothing queued
     assert sent == []
-    assert sim.events_dispatched == 5  # the pack ticks themselves (t=0..2ms)
+    assert stats.events_dispatched == 5  # the pack ticks themselves (t=0..2ms)
 
 
 def test_pack_timer_single_message_frame_shape():

@@ -25,7 +25,7 @@ def test_default_jam_run_retains_no_per_transmission_state():
                 (
                     tracemalloc.get_traced_memory()[0],
                     sum(port.queued_frames() for port in net.ports),
-                    len(net.recorder.records),
+                    len(net.recorder),
                     sum(port.transmitted for port in net.ports),
                 )
             )
@@ -54,7 +54,7 @@ def test_can_heavy_run_keeps_no_object_per_record():
     try:
         for horizon in (200_000_000, 1_000_000_000):
             net.sim.run_until(horizon)
-            samples.append((tracemalloc.get_traced_memory()[0], len(net.recorder.records)))
+            samples.append((tracemalloc.get_traced_memory()[0], len(net.recorder)))
     finally:
         tracemalloc.stop()
     (bytes0, records0), (bytes1, records1) = samples

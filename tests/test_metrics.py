@@ -102,14 +102,14 @@ def test_percentile_nearest_rank_direct():
 
 def test_export_empty_series_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    export_csv(LatencyRecorder().records, path)
+    export_csv(LatencyRecorder(), path)
     assert path.read_bytes() == b"seq,can_id,created_at_ns,delivered_at_ns,latency_ns,arm\n"
 
 
 def test_export_rows_in_creation_time_order(tmp_path):
     records = [rec(1, 3_000_000, 3_600_000), rec(0, 0, 550_000)]
     path = tmp_path / "out.csv"
-    export_csv(recorder_of(records).records, path)
+    export_csv(recorder_of(records), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("0,256,0,550000,550000,")
@@ -123,8 +123,8 @@ def test_export_deterministic_bytes_and_roundtrip(tmp_path):
         created = i * 3_000_000
         records.append(rec(i, created, created + rng.randrange(500_000, 900_000)))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_csv(recorder_of(records).records, p1)
-    export_csv(recorder_of(records).records, p2)
+    export_csv(recorder_of(records), p1)
+    export_csv(recorder_of(records), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert len(p1.read_text().splitlines()) == 335
     assert read_csv(p1) == sorted(records, key=lambda r: (r.created_at, r.seq))
@@ -141,7 +141,7 @@ def test_export_order_equals_created_at_seq_tuple_order(tmp_path):
     ]
     rng.shuffle(records)
     path = tmp_path / "out.csv"
-    export_csv(recorder_of(records).records, path)
+    export_csv(recorder_of(records), path)
     expected = sorted(records, key=lambda r: (r.created_at, r.seq))
     assert read_csv(path) == expected
 
@@ -171,20 +171,20 @@ def test_out_of_range_field_is_a_metrics_error(fields):
         r.add(*fields)
     # The failed row left no partial column behind.
     assert [len(c) for c in (r.seq, r.can_id, r.created_at, r.delivered_at)] == [1] * 4
-    assert list(r.records) == [LatencyRecord(7, 0x100, 0, 5, "arm")]
+    assert list(r) == [LatencyRecord(7, 0x100, 0, 5, "arm")]
 
 
 def test_add_rejects_negative_latency():
     r = LatencyRecorder()
     with pytest.raises(MetricsError, match="precedes"):
         r.add(0, 0x100, 100, 99)
-    assert len(r.records) == 0
+    assert len(r) == 0
 
 
 def test_records_view_is_a_read_only_sequence():
     records = [rec(i, 10 * i, 10 * i + 5 + i) for i in range(4)]
     r = recorder_of(records)
-    view = r.records
+    view = r
     assert len(view) == 4
     assert view[0] == records[0] and view[-1] == records[-1]
     assert view[1:3] == records[1:3]
@@ -192,9 +192,9 @@ def test_records_view_is_a_read_only_sequence():
     assert records[2] in view
     with pytest.raises(IndexError):
         view[4]
-    assert not hasattr(view, "append")
+    assert not hasattr(view, "append") and not hasattr(view, "__setitem__")
     r.add(9, 1, 0, 1)
-    assert view is r.records and len(view) == 5
+    assert view is r and len(view) == 5
 
 
 @pytest.mark.parametrize(

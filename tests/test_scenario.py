@@ -2,7 +2,10 @@
 
 import dataclasses
 import importlib.util
+import json
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -312,6 +315,48 @@ def test_every_handler_owner_has_a_bench_layer():
     assert owners <= set(spans.HANDLER_LAYERS)
 
 
+BENCH_SMOKE = """
+import json, sys
+from pathlib import Path
+sys.path[:0] = ["bench", "src"]
+import spans, workload
+from canavbsim import scenario
+
+tracer = spans.Tracer()
+spans.install(tracer)
+cfg = scenario.parse_config(
+    "[sim]\\nseed = 7\\nduration = 50ms\\n[traffic.jammer]\\nenabled = true\\n"
+)
+out = Path(sys.argv[1])
+units = workload.run_jam_logged(cfg, out)
+layers = workload.layer_report(tracer, units, out, 0.0, 0.0)
+print(json.dumps({
+    "conserved": [workload.conserved(result.network) for _, result, _ in units],
+    "handler_events": sum(
+        layers.get(f"{layer}.events", 0) for layer in set(spans.HANDLER_LAYERS.values())
+    ),
+    "core_events": layers["core.events"],
+}))
+"""
+
+
+def test_bench_spans_and_workload_still_fit_the_simulator(tmp_path):
+    # bench/ reaches into the simulator by name: spans.install rebinds
+    # classes and functions, and workload.py reads results and network state.
+    # Run its logged jam workload for 50 ms in a fresh interpreter, so the
+    # rebinding stays out of this process, and without writing bytecode.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", BENCH_SMOKE, str(tmp_path)],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["conserved"] == [True]
+    assert report["core_events"] > 0
+    assert report["handler_events"] == report["core_events"]
+
+
 def test_build_network_more_switches():
     cfg = ScenarioConfig(switch_count=4, jammer_enabled=True, jammer_attach_switch=3)
     net = build_network(cfg)
@@ -397,6 +442,16 @@ def test_cli_override_validated_before_outputs_are_touched(tmp_path, capsys, bad
     assert {name: (out / name).read_bytes() for name in before} == before
 
 
+def test_run_scenario_validates_before_traces_are_touched(tmp_path):
+    paths = {"trace_path": tmp_path / "trace.csv", "depth_trace_path": tmp_path / "q.csv"}
+    run_scenario(ScenarioConfig(duration=10_000_000), **paths)
+    before = {path: path.read_bytes() for path in paths.values()}
+    assert all(data.count(b"\n") > 1 for data in before.values())
+    with pytest.raises(ValidationError):
+        run_scenario(ScenarioConfig(sender_period=0), **paths)
+    assert {path: path.read_bytes() for path in before} == before
+
+
 def test_cli_suite_runs_four_arms(tmp_path, capsys):
     code = cli_main(["suite", "--duration", "20ms", "--out", str(tmp_path / "suite")])
     assert code == 0
@@ -429,7 +484,7 @@ def test_cli_out_naming_a_file_is_a_runtime_error(tmp_path, capsys):
 
 def test_run_scenario_shares_the_recorder_records():
     result = run_scenario(ScenarioConfig(duration=10_000_000))
-    assert result.records is result.network.recorder.records
+    assert result.records is result.network.recorder
 
 
 @pytest.mark.parametrize(

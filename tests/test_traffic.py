@@ -74,7 +74,9 @@ def test_jammer_cfg_payload_from_total_bytes():
 def test_jammer_intervals_within_bounds_and_mean():
     sim = Simulator()
     sink = FrameSink()
-    talker = JammingTalker(sim, "talker", JammingTalkerCfg(), stream_rng(42, "talker"), sink)
+    talker = JammingTalker(
+        sim, "talker", JammingTalkerCfg(), stream_rng(42, "talker"), sink.on_frame_received
+    )
     talker.start()
     sim.run_until(1_300_000_000)  # ~1e5 ticks at mean 13 us
     times = [t for _, t in sink.frames]
@@ -93,7 +95,7 @@ def test_jammer_with_finite_link_saturates_its_egress():
     sink = FrameSink()
     port = EgressPort(sim, "port:talker->sw1", 100_000_000, 20_000_000, peer=sink)
     talker = JammingTalker(
-        sim, "talker", JammingTalkerCfg(link_rate=100_000_000), stream_rng(1, "talker"), port
+        sim, "talker", JammingTalkerCfg(link_rate=100_000_000), stream_rng(1, "talker"), port.enqueue
     )
     talker.start()
     sim.run_until(300_000_000)
@@ -116,7 +118,7 @@ def can_frame(messages, pcp=3):
 def test_listener_single_record_latency_definition():
     listener = Listener("listener", LatencyRecorder("AVB_nature"))
     listener.on_frame_received(can_frame([CanMessage(5, (9).to_bytes(8, "little"), 1_000)]), 2_500)
-    [rec] = listener.recorder.records
+    [rec] = listener.recorder
     assert rec.latency == 1_500
     assert rec.seq == 9
     assert rec.can_id == 5
@@ -127,7 +129,7 @@ def test_listener_multi_record_frame_shares_delivery_time():
     listener = Listener("listener", LatencyRecorder())
     msgs = [CanMessage(1, bytes(8), t) for t in (100, 200, 300)]
     listener.on_frame_received(can_frame(msgs), 10_000)
-    recs = listener.recorder.records
+    recs = listener.recorder
     assert [r.delivered_at for r in recs] == [10_000] * 3
     assert [r.created_at for r in recs] == [100, 200, 300]
     assert listener.records_received == 3
@@ -137,7 +139,7 @@ def test_listener_counts_jam_frames():
     listener = Listener("listener", LatencyRecorder())
     jam = EthFrame(pcp=0, payload_len=1452)
     listener.on_frame_received(jam, 5_000)
-    assert list(listener.recorder.records) == []
+    assert list(listener.recorder) == []
     assert listener.jam_frames == 1
     assert listener.records_received == 0
 
@@ -157,7 +159,7 @@ def test_listener_rejects_frame_created_after_delivery():
     forged = can_frame([CanMessage(1, bytes(8), 5_001)])
     with pytest.raises(MetricsError, match="precedes"):
         listener.on_frame_received(forged, 5_000)
-    assert len(listener.recorder.records) == 0
+    assert len(listener.recorder) == 0
 
 
 def test_listener_builds_no_message_or_record_objects(monkeypatch):
