@@ -12,6 +12,7 @@ from .metrics import export_csv, format_summary
 from .scenario import (
     ConfigError,
     ScenarioConfig,
+    ValidationError,
     load_config,
     parse_duration,
     run_experiment_suite,
@@ -51,7 +52,10 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.duration is not None:
-        cfg.duration = parse_duration(args.duration)
+        try:
+            cfg.duration = parse_duration(args.duration)
+        except ValidationError as exc:
+            raise ValidationError(f"--duration: {exc}") from None
     if args.out is not None:
         cfg.out_dir = args.out
     return validate_config(cfg)

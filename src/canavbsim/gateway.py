@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
 
 from .canbus import CAN_MAX_DLC, CAN_MAX_ID, CanMessage
 from .core import Event, SimulationError, Simulator
@@ -26,7 +25,6 @@ from .ethernet import (
     ETHERTYPE_CAN_TUNNEL,
     MAX_PAYLOAD,
     MIN_PAYLOAD,
-    AVB_PCP,
     EgressPort,
     EthFrame,
 )
@@ -98,22 +96,6 @@ def decode(payload: bytes) -> list[tuple[int, bytes, int]]:
     return records
 
 
-@dataclass
-class GwConfig:
-    """Gateway parameters; the defaults match the reference scenario."""
-
-    pack_period: int = 500_000
-    mtu_payload: int = MAX_PAYLOAD
-    class_for_can: int = AVB_PCP  # pcp of every frame the gateway emits
-    queue_cap: int | None = None
-
-    def __post_init__(self):
-        if self.pack_period <= 0:
-            raise GatewayError(f"pack_period must be positive, got {self.pack_period}")
-        if not COUNT_SIZE + RECORD_OVERHEAD <= self.mtu_payload <= MAX_PAYLOAD:
-            raise GatewayError(f"mtu_payload {self.mtu_payload} cannot hold a record")
-
-
 class Gateway:
     """The CAN-side FIFO plus the periodic packer feeding the Ethernet port.
 
@@ -122,11 +104,23 @@ class Gateway:
     nothing.  Leftover messages wait for the next tick.
     """
 
-    def __init__(self, sim: Simulator, name: str, cfg: GwConfig, eth_port: EgressPort):
+    def __init__(
+        self,
+        sim: Simulator,
+        name: str,
+        eth_port: EgressPort,
+        pack_period: int,
+        mtu_payload: int,
+        class_for_can: int,
+        queue_cap: int | None,
+    ):
         self.sim = sim
         self.name = name
-        self.cfg = cfg
         self.eth_port = eth_port
+        self.pack_period = pack_period
+        self.mtu_payload = mtu_payload
+        self.class_for_can = class_for_can  # pcp of every frame the gateway emits
+        self.queue_cap = queue_cap
         self.fifo: deque[CanMessage] = deque()
         self.overflow_drops = 0
         self.frames_sent = 0
@@ -137,7 +131,7 @@ class Gateway:
         self.sim.schedule(self.name, "pack", 0)
 
     def on_can_received(self, msg: CanMessage, now: int) -> None:
-        if self.cfg.queue_cap is not None and len(self.fifo) >= self.cfg.queue_cap:
+        if self.queue_cap is not None and len(self.fifo) >= self.queue_cap:
             self.overflow_drops += 1
             return
         self.fifo.append(msg)
@@ -146,14 +140,14 @@ class Gateway:
         frame = self.on_pack_timer(ev.fire_at)
         if frame is not None:
             self.eth_port.enqueue(frame, ev.fire_at)
-        self.sim.schedule(self.name, "pack", ev.fire_at + self.cfg.pack_period)
+        self.sim.schedule(self.name, "pack", ev.fire_at + self.pack_period)
 
     def on_pack_timer(self, now: int) -> EthFrame | None:
         """Build the tick's frame, or None when the FIFO is empty."""
         fifo = self.fifo
         if not fifo:
             return None
-        limit = self.cfg.mtu_payload
+        limit = self.mtu_payload
         batch = []
         size = COUNT_SIZE
         while fifo:
@@ -164,7 +158,7 @@ class Gateway:
         payload = pack(batch, limit)
         self.frames_sent += 1
         return EthFrame(
-            pcp=self.cfg.class_for_can,
+            pcp=self.class_for_can,
             payload_len=max(MIN_PAYLOAD, len(payload)),
             payload=payload,
             ethertype=ETHERTYPE_CAN_TUNNEL,

@@ -20,12 +20,20 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .canbus import STUFFING_MODELS, STUFFING_NONE, CAN_MAX_ID, CanBus
+from .canbus import STUFFING_MODELS, STUFFING_NONE, CAN_MAX_DLC, CAN_MAX_ID, CanBus
 from .core import NS_PER_SEC, Event, RunStats, SimulationError, Simulator, stream_rng
-from .ethernet import AVB_PCP, ETHERTYPE_CAN_TUNNEL, EgressPort, EthFrame, Switch
-from .gateway import COUNT_SIZE, RECORD_OVERHEAD, Gateway, GwConfig, record_count
+from .ethernet import (
+    AVB_PCP,
+    ETHERTYPE_CAN_TUNNEL,
+    MAX_PAYLOAD,
+    MIN_PAYLOAD,
+    EgressPort,
+    EthFrame,
+    Switch,
+)
+from .gateway import COUNT_SIZE, RECORD_OVERHEAD, Gateway, record_count
 from .metrics import LatencyRecorder, RunSummary, export_csv
-from .traffic import JammingTalker, JammingTalkerCfg, Listener, PeriodicCanSender, PeriodicCanSenderCfg
+from .traffic import JammingTalker, Listener, PeriodicCanSender, filler_payload_len
 
 ARMS = ("Eth_nature", "Eth_jam", "AVB_nature", "AVB_jam")
 
@@ -155,32 +163,6 @@ class ScenarioConfig:
     jammer_link_rate: int | None = _key("traffic.jammer.link_rate", _parse_optional_rate, None)
     out_dir: str | None = _key("output.dir", str.strip, None)
 
-    def gateway_config(self) -> GwConfig:
-        return GwConfig(
-            pack_period=self.gw_pack_period,
-            mtu_payload=self.gw_mtu_payload,
-            class_for_can=self.gw_class_for_can,
-            queue_cap=self.gw_queue_cap,
-        )
-
-    def sender_config(self) -> PeriodicCanSenderCfg:
-        return PeriodicCanSenderCfg(
-            can_id=self.sender_can_id,
-            dlc=self.sender_dlc,
-            period=self.sender_period,
-            start=self.sender_start,
-            count_limit=self.sender_count_limit,
-        )
-
-    def jammer_config(self) -> JammingTalkerCfg:
-        return JammingTalkerCfg(
-            frame_total_bytes=self.jammer_frame_total_bytes,
-            period_lo=self.jammer_period_lo,
-            period_hi=self.jammer_period_hi,
-            pcp=self.jammer_pcp,
-            link_rate=self.jammer_link_rate,
-        )
-
 
 # INI key -> its ScenarioConfig field; "unknown key" means absent here.
 _FIELDS_BY_KEY = {f.metadata["key"]: f for f in dataclasses.fields(ScenarioConfig)}
@@ -204,7 +186,10 @@ def arm_config(base: ScenarioConfig, arm: str) -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check cross-field invariants; returns cfg for chaining."""
+    """Check every value and cross-field invariant; returns cfg for chaining.
+
+    This is the one check site: the actors take their values as given.  Each
+    message starts with the INI key of the value it rejects."""
 
     def need(cond: bool, message: str):
         if not cond:
@@ -228,9 +213,44 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         0 < cfg.idle_slope < cfg.eth_rate,
         "switches.idle_slope must be positive and below the link rate",
     )
+    need(cfg.gw_pack_period > 0, f"gateway.pack_period must be positive, got {cfg.gw_pack_period}")
     need(0 <= cfg.gw_class_for_can <= 7, "gateway.class_for_can must be a pcp in 0..7")
     need(0 <= cfg.sender_can_id <= CAN_MAX_ID, "traffic.sender.can_id must fit 11 bits")
+    need(
+        0 <= cfg.sender_dlc <= CAN_MAX_DLC,
+        f"traffic.sender.dlc must be in 0..{CAN_MAX_DLC}, got {cfg.sender_dlc}",
+    )
+    # Past the dlc check, so the lower bound is the size of one sender record.
+    record = COUNT_SIZE + RECORD_OVERHEAD + cfg.sender_dlc
+    need(
+        record <= cfg.gw_mtu_payload <= MAX_PAYLOAD,
+        f"gateway.mtu_payload {cfg.gw_mtu_payload} must be in {record}..{MAX_PAYLOAD}: "
+        f"one record of traffic.sender.dlc {cfg.sender_dlc} takes "
+        f"{COUNT_SIZE} + {RECORD_OVERHEAD} + dlc bytes",
+    )
+    need(cfg.sender_period > 0, f"traffic.sender.period must be positive, got {cfg.sender_period}")
+    need(cfg.sender_start >= 0, f"traffic.sender.start must be non-negative, got {cfg.sender_start}")
+    need(
+        cfg.jammer_period_lo >= 0,
+        f"traffic.jammer.period_lo must be non-negative, got {cfg.jammer_period_lo}",
+    )
+    # All-zero gaps would tick forever without the clock advancing.
+    need(
+        cfg.jammer_period_hi >= 1,
+        f"traffic.jammer.period_hi must be at least 1 ns, got {cfg.jammer_period_hi}",
+    )
+    need(
+        cfg.jammer_period_lo <= cfg.jammer_period_hi,
+        f"traffic.jammer.period_lo {cfg.jammer_period_lo} exceeds "
+        f"traffic.jammer.period_hi {cfg.jammer_period_hi}",
+    )
     need(0 <= cfg.jammer_pcp <= 7, "traffic.jammer.pcp must be a pcp in 0..7")
+    payload = filler_payload_len(cfg.jammer_frame_total_bytes, cfg.jammer_pcp)
+    need(
+        MIN_PAYLOAD <= payload <= MAX_PAYLOAD,
+        f"traffic.jammer.frame_total_bytes {cfg.jammer_frame_total_bytes} implies payload "
+        f"{payload} at pcp {cfg.jammer_pcp}, outside {MIN_PAYLOAD}..{MAX_PAYLOAD}",
+    )
     need(
         1 <= cfg.jammer_attach_switch <= cfg.switch_count,
         "traffic.jammer.attach_switch must name an existing switch",
@@ -239,24 +259,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         cfg.jammer_link_rate is None or cfg.jammer_link_rate >= 2,
         "traffic.jammer.link_rate must be at least 2 bits/s",
     )
-    for key in ("can.node_queue_cap", "switches.avb_queue_cap",
-                "switches.be_queue_cap", "gateway.queue_cap"):
-        cap = getattr(cfg, _FIELDS_BY_KEY[key].name)
-        need(cap is None or cap >= 0, f"{key} must be non-negative or none")
-    # Sub-config constructors enforce their own invariants; surface those
-    # as validation errors too.
-    try:
-        cfg.gateway_config()
-        cfg.sender_config()
-        cfg.jammer_config()
-    except SimulationError as exc:
-        raise ValidationError(str(exc)) from None
-    # Past the sub-config checks, so both values are in range.
-    need(
-        COUNT_SIZE + RECORD_OVERHEAD + cfg.sender_dlc <= cfg.gw_mtu_payload,
-        f"gateway.mtu_payload {cfg.gw_mtu_payload} cannot hold one record of "
-        f"traffic.sender.dlc {cfg.sender_dlc} ({COUNT_SIZE} + {RECORD_OVERHEAD} + dlc bytes)",
-    )
+    for key in ("can.node_queue_cap", "switches.avb_queue_cap", "switches.be_queue_cap",
+                "gateway.queue_cap", "traffic.sender.count_limit"):
+        value = getattr(cfg, _FIELDS_BY_KEY[key].name)
+        need(value is None or value >= 0, f"{key} must be non-negative or none")
     return cfg
 
 
@@ -329,7 +335,10 @@ class Network:
             stuffing_model=cfg.can_stuffing_model,
             node_queue_cap=cfg.can_node_queue_cap,
         )
-        self.sender = PeriodicCanSender(sim, "sender", cfg.sender_config(), self.bus)
+        self.sender = PeriodicCanSender(
+            sim, "sender", self.bus, cfg.sender_can_id, cfg.sender_dlc,
+            cfg.sender_period, cfg.sender_start, cfg.sender_count_limit,
+        )
 
         def backbone_port(name: str, peer) -> EgressPort:
             return self._track_port(EgressPort(
@@ -350,7 +359,10 @@ class Network:
             port = backbone_port(f"port:sw{i}->{hop.name}", hop)
             hop = Switch(sim, f"sw{i}", cfg.forwarding_latency, port)
             switches.append(hop)
-        self.gw = Gateway(sim, "gw", cfg.gateway_config(), backbone_port("port:gw->sw1", hop))
+        self.gw = Gateway(
+            sim, "gw", backbone_port("port:gw->sw1", hop),
+            cfg.gw_pack_period, cfg.gw_mtu_payload, cfg.gw_class_for_can, cfg.gw_queue_cap,
+        )
         self.bus.attach("gw", self.gw.on_can_received)
         self.switches = switches[::-1]
         self.ports.reverse()
@@ -358,20 +370,25 @@ class Network:
         self.talker: JammingTalker | None = None
         if cfg.jammer_enabled:
             attach = self.switches[cfg.jammer_attach_switch - 1]
-            rng = stream_rng(cfg.seed, "talker")
-            jcfg = cfg.jammer_config()
             send = attach.on_frame_received
-            if jcfg.link_rate is not None:
+            if cfg.jammer_link_rate is not None:
                 send = self._track_port(EgressPort(
                     sim,
                     f"port:talker->{attach.name}",
-                    rate=jcfg.link_rate,
+                    rate=cfg.jammer_link_rate,
                     # The talker only emits best-effort frames; clamp the slope
                     # so a slow access link still has a valid shaper config.
-                    idle_slope=min(cfg.idle_slope, jcfg.link_rate - 1),
+                    idle_slope=min(cfg.idle_slope, cfg.jammer_link_rate - 1),
                     peer=attach,
                 )).enqueue
-            self.talker = JammingTalker(sim, "talker", jcfg, rng, send)
+            filler = EthFrame(
+                pcp=cfg.jammer_pcp,
+                payload_len=filler_payload_len(cfg.jammer_frame_total_bytes, cfg.jammer_pcp),
+            )
+            self.talker = JammingTalker(
+                sim, "talker", filler, cfg.jammer_period_lo, cfg.jammer_period_hi,
+                stream_rng(cfg.seed, "talker"), send,
+            )
 
     def _track_port(self, port: EgressPort) -> EgressPort:
         port.on_drop = self._count_dropped_records

@@ -1,10 +1,18 @@
-"""Fuzz the config parser: any text yields a ScenarioConfig or a ConfigError."""
+"""Fuzz the config parser and validator: any text yields a ScenarioConfig or a
+ConfigError, and any config validate_config accepts builds and runs."""
 
 import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from canavbsim.scenario import ConfigError, ScenarioConfig, parse_config
+from canavbsim.scenario import (
+    ConfigError,
+    ScenarioConfig,
+    ValidationError,
+    build_network,
+    parse_config,
+    validate_config,
+)
 
 KEYS = [f.metadata["key"] for f in dataclasses.fields(ScenarioConfig)]
 
@@ -33,3 +41,45 @@ def test_parse_config_returns_a_config_or_raises_config_error(config_lines):
     except ConfigError:
         return
     assert isinstance(cfg, ScenarioConfig)
+
+
+def near(*points):
+    """Integers within 1 of any of points."""
+    return st.sampled_from(points).flatmap(lambda p: st.integers(p - 1, p + 1))
+
+
+# The fields the actors take, drawn around the bounds validate_config checks.
+ACTOR_FIELDS = {
+    "gw_pack_period": near(0, 500_000),
+    "gw_mtu_payload": near(15, 23, 1500),
+    "gw_class_for_can": near(0, 7),
+    "gw_queue_cap": st.none() | near(0),
+    "sender_can_id": near(0, 0x7FF),
+    "sender_dlc": near(0, 8),
+    "sender_period": near(0, 3_000_000),
+    "sender_start": near(0),
+    "sender_count_limit": st.none() | near(0),
+    "jammer_frame_total_bytes": near(64, 68, 1518, 1522),
+    "jammer_period_lo": near(0, 1_000),
+    "jammer_period_hi": near(0, 25_000),
+    "jammer_pcp": near(0, 3, 7),
+    "jammer_link_rate": st.none() | near(2, 100_000_000),
+}
+# At most four fields move at once, so most draws pass every other check.
+actor_overrides = st.sets(st.sampled_from(sorted(ACTOR_FIELDS)), max_size=4).flatmap(
+    lambda names: st.fixed_dictionaries({name: ACTOR_FIELDS[name] for name in names})
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), actor_overrides)
+def test_validate_config_is_the_one_check_on_actor_values(jammer_enabled, overrides):
+    cfg = dataclasses.replace(ScenarioConfig(), jammer_enabled=jammer_enabled, **overrides)
+    try:
+        validate_config(cfg)
+    except ValidationError as exc:
+        assert str(exc).split()[0] in KEYS, str(exc)
+        return
+    net = build_network(cfg)
+    net.start()
+    net.sim.run_until(min(cfg.duration, 20_000))

@@ -9,13 +9,12 @@ from canavbsim.core import Simulator
 from canavbsim.ethernet import ETHERTYPE_CAN_TUNNEL, AVB_PCP
 from canavbsim.gateway import (
     Gateway,
-    GatewayError,
-    GwConfig,
     MalformedPayload,
     PayloadOverflow,
     decode,
     pack,
 )
+from canavbsim.scenario import ScenarioConfig
 
 
 def decoded_messages(payload):
@@ -98,16 +97,11 @@ def test_unpack_rejects_count_mismatch():
         decode(bytes(short))
 
 
-def test_gwconfig_validates():
-    with pytest.raises(GatewayError):
-        GwConfig(pack_period=0)
-
-
 def test_classify_paper_scheduling_rule():
     # CAN-bearing frames ride the AVB class by default; the Eth_nature /
     # Eth_jam arms put them in best-effort.
-    for cfg, pcp in ((GwConfig(), 3), (GwConfig(class_for_can=0), 0)):
-        sim, gw, sent = make_gw(cfg)
+    for overrides, pcp in (({}, 3), ({"class_for_can": 0}, 0)):
+        sim, gw, sent = make_gw(**overrides)
         gw.on_can_received(CanMessage(0x100, bytes(8), 0), 0)
         gw.start()
         sim.run_until(0)
@@ -115,7 +109,15 @@ def test_classify_paper_scheduling_rule():
         assert frame.pcp == pcp
 
 
-def make_gw(cfg=None):
+def make_gw(**overrides):
+    """A gateway with the reference scenario's settings, except overrides."""
+    ref = ScenarioConfig()
+    params = {
+        "pack_period": ref.gw_pack_period,
+        "mtu_payload": ref.gw_mtu_payload,
+        "class_for_can": ref.gw_class_for_can,
+        "queue_cap": ref.gw_queue_cap,
+    }
     sim = Simulator()
     sent = []
 
@@ -124,7 +126,7 @@ def make_gw(cfg=None):
             sent.append((frame, now))
             return True
 
-    gw = Gateway(sim, "gw", cfg or GwConfig(), Port())
+    gw = Gateway(sim, "gw", Port(), **(params | overrides))
     return sim, gw, sent
 
 
@@ -137,7 +139,7 @@ def test_fifo_preserves_arrival_order():
 
 
 def test_fifo_cap_counts_overflow():
-    sim, gw, _ = make_gw(GwConfig(queue_cap=1))
+    sim, gw, _ = make_gw(queue_cap=1)
     gw.on_can_received(CanMessage(1, b"", 0), 0)
     gw.on_can_received(CanMessage(2, b"", 0), 0)
     assert gw.overflow_drops == 1

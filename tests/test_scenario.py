@@ -109,6 +109,44 @@ def test_mtu_that_cannot_hold_one_sender_record_rejected():
     assert parse_config("gateway.mtu_payload = 15\ntraffic.sender.dlc = 0\n").gw_mtu_payload == 15
 
 
+@pytest.mark.parametrize(
+    "key,value,other",
+    [
+        ("gateway.pack_period", "0", ""),
+        ("gateway.pack_period", "-1", ""),
+        ("gateway.mtu_payload", "14", ""),
+        ("gateway.mtu_payload", "1501", ""),
+        ("traffic.sender.period", "0", ""),
+        ("traffic.sender.start", "-1", ""),
+        ("traffic.sender.dlc", "9", ""),
+        ("traffic.sender.dlc", "-1", ""),
+        ("traffic.sender.dlc", "9", "gateway.mtu_payload = 5"),
+        ("traffic.sender.count_limit", "-1", ""),
+        ("traffic.jammer.period_lo", "-1", ""),
+        ("traffic.jammer.period_lo", "30us", "traffic.jammer.period_hi = 25us"),
+        ("traffic.jammer.period_hi", "0", "traffic.jammer.period_lo = 0"),
+        ("traffic.jammer.frame_total_bytes", "60", ""),
+        ("traffic.jammer.frame_total_bytes", "1523", ""),
+        ("traffic.jammer.frame_total_bytes", "67", "traffic.jammer.pcp = 3"),
+    ],
+)
+def test_actor_value_rejected_naming_its_key(key, value, other):
+    with pytest.raises(ValidationError, match=f"^{re.escape(key)} "):
+        parse_config(f"{key} = {value}\n{other}\n")
+
+
+@pytest.mark.parametrize(
+    "key,value,other",
+    [
+        ("traffic.jammer.frame_total_bytes", "64", ""),
+        ("traffic.jammer.frame_total_bytes", "1522", "traffic.jammer.pcp = 3"),
+    ],
+)
+def test_actor_value_at_its_bound_accepted(key, value, other):
+    # gateway.mtu_payload = 23 and period_hi = 1ns are checked above.
+    parse_config(f"{key} = {value}\n{other}\n")
+
+
 def test_unknown_key_rejected_with_line_number():
     with pytest.raises(ValidationError, match="line 2"):
         parse_config("sim.seed = 1\nsim.sed = 2\n")
@@ -207,7 +245,7 @@ def seq_runs(records):
 def test_seq_continuity_per_can_id_in_the_suite(suite):
     result, _ = suite
     for arm, run in result.results.items():
-        wrap = 1 << (8 * run.network.sender.cfg.dlc)
+        wrap = 1 << (8 * run.network.sender.dlc)
         for can_id, seqs in seq_runs(run.records).items():
             assert seqs == [i % wrap for i in range(len(seqs))], (arm, can_id)
 
@@ -440,6 +478,17 @@ def test_cli_override_validated_before_outputs_are_touched(tmp_path, capsys, bad
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ValidationError:")
     assert {name: (out / name).read_bytes() for name in before} == before
+
+
+@pytest.mark.parametrize("command", [["run", "scenario.cfg"], ["suite"]])
+def test_cli_flag_value_error_names_the_flag(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write_cfg(tmp_path, "")
+    assert cli_main([*command, "--duration", "5parsecs", "--out", "out"]) == 2
+    assert capsys.readouterr().err == (
+        "error: ValidationError: --duration: cannot parse duration '5parsecs'\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_scenario_validates_before_traces_are_touched(tmp_path):

@@ -7,20 +7,23 @@ from canavbsim.core import Simulator, stream_rng
 from canavbsim.ethernet import ETHERTYPE_CAN_TUNNEL, EgressPort, EthFrame
 from canavbsim.gateway import MalformedPayload, pack
 from canavbsim.metrics import LatencyRecord, LatencyRecorder, MetricsError
-from canavbsim.traffic import (
-    JammingTalker,
-    JammingTalkerCfg,
-    Listener,
-    PeriodicCanSender,
-    PeriodicCanSenderCfg,
-    TrafficError,
-)
+from canavbsim.scenario import ScenarioConfig
+from canavbsim.traffic import JammingTalker, Listener, PeriodicCanSender, filler_payload_len
+
+REF = ScenarioConfig()  # the reference scenario's actor settings
 
 
-def build_sender(cfg=None, duration=1_000_000_000):
+def build_sender(duration=1_000_000_000, **overrides):
+    params = {
+        "can_id": REF.sender_can_id,
+        "dlc": REF.sender_dlc,
+        "period": REF.sender_period,
+        "start": REF.sender_start,
+        "count_limit": REF.sender_count_limit,
+    }
     sim = Simulator()
     bus = CanBus(sim)
-    sender = PeriodicCanSender(sim, "sender", cfg or PeriodicCanSenderCfg(), bus)
+    sender = PeriodicCanSender(sim, "sender", bus, **(params | overrides))
     received = []
     bus.attach("sink", lambda m, t: received.append((m, t)))
     sender.start()
@@ -35,7 +38,7 @@ def test_sender_default_one_second_produces_334():
 
 
 def test_sender_count_limit():
-    sender, received = build_sender(PeriodicCanSenderCfg(count_limit=1))
+    sender, received = build_sender(count_limit=1)
     assert sender.created == 1
     assert len(received) == 1
 
@@ -61,22 +64,25 @@ class FrameSink:
 
 
 def test_jammer_cfg_payload_from_total_bytes():
-    cfg = JammingTalkerCfg()  # 1470 total - 14 header - 4 FCS
-    assert cfg.payload_len == 1452
-    tagged = JammingTalkerCfg(frame_total_bytes=1470, pcp=3)
-    assert tagged.payload_len == 1448  # VLAN tag eats 4 more
-    with pytest.raises(TrafficError):
-        JammingTalkerCfg(frame_total_bytes=60)
-    with pytest.raises(TrafficError):
-        JammingTalkerCfg(period_lo=30_000, period_hi=25_000)
+    # 1470 total - 14 header - 4 FCS
+    assert filler_payload_len(REF.jammer_frame_total_bytes, REF.jammer_pcp) == 1452
+    assert filler_payload_len(1470, 3) == 1448  # VLAN tag eats 4 more
+
+
+def make_talker(sim, send, seed):
+    """A talker with the reference scenario's filler frame and gaps."""
+    frame = EthFrame(
+        pcp=REF.jammer_pcp,
+        payload_len=filler_payload_len(REF.jammer_frame_total_bytes, REF.jammer_pcp),
+    )
+    rng = stream_rng(seed, "talker")
+    return JammingTalker(sim, "talker", frame, REF.jammer_period_lo, REF.jammer_period_hi, rng, send)
 
 
 def test_jammer_intervals_within_bounds_and_mean():
     sim = Simulator()
     sink = FrameSink()
-    talker = JammingTalker(
-        sim, "talker", JammingTalkerCfg(), stream_rng(42, "talker"), sink.on_frame_received
-    )
+    talker = make_talker(sim, sink.on_frame_received, 42)
     talker.start()
     sim.run_until(1_300_000_000)  # ~1e5 ticks at mean 13 us
     times = [t for _, t in sink.frames]
@@ -94,9 +100,7 @@ def test_jammer_with_finite_link_saturates_its_egress():
     sim = Simulator()
     sink = FrameSink()
     port = EgressPort(sim, "port:talker->sw1", 100_000_000, 20_000_000, peer=sink)
-    talker = JammingTalker(
-        sim, "talker", JammingTalkerCfg(link_rate=100_000_000), stream_rng(1, "talker"), port.enqueue
-    )
+    talker = make_talker(sim, port.enqueue, 1)
     talker.start()
     sim.run_until(300_000_000)
     acct = port.accounting()
