@@ -93,8 +93,13 @@ class Simulator:
         return ev
 
     def cancel(self, ev: Event) -> None:
-        """Drop a pending event; cancelling twice, or after it fired, is harmless."""
-        self._cancelled.add(ev.seq)
+        """Drop a pending event; cancelling twice, or after it fired, is harmless.
+
+        Only a pending event is recorded, so no seq outlives its event.  The
+        heap holds a handful of events and cancels are rare.
+        """
+        if ev in self._heap:
+            self._cancelled.add(ev.seq)
 
     def run_until(self, t_end: int) -> RunStats:
         """Dispatch every event with fire_at <= t_end in (fire_at, seq) order.
@@ -106,20 +111,27 @@ class Simulator:
         handlers = self._handlers
         trace = self.trace
         cancelled = self._cancelled
-        while heap and heap[0][0] <= t_end:
-            ev = heappop(heap)
-            # Index access: ev is (fire_at, seq, target, kind).
-            if cancelled and ev[1] in cancelled:
-                cancelled.remove(ev[1])
-                continue
-            self.now = ev[0]
-            self._dispatched += 1
-            if trace is not None:
-                trace(ev)
-            handler = handlers.get(ev[2])
-            if handler is None:
-                raise UnknownTarget(f"no handler registered for {ev[2]!r}")
-            handler(ev)
+        # Counted in a local and stored back even when a handler raises; the
+        # raising event counts as dispatched.
+        dispatched = self._dispatched
+        try:
+            while heap and heap[0][0] <= t_end:
+                ev = heappop(heap)
+                # Index access: ev is (fire_at, seq, target, kind).
+                if cancelled and ev[1] in cancelled:
+                    cancelled.remove(ev[1])
+                    continue
+                self.now = ev[0]
+                dispatched += 1
+                if trace is not None:
+                    trace(ev)
+                try:
+                    handler = handlers[ev[2]]
+                except KeyError:
+                    raise UnknownTarget(f"no handler registered for {ev[2]!r}") from None
+                handler(ev)
+        finally:
+            self._dispatched = dispatched
         if t_end > self.now:
             self.now = t_end
         return RunStats(self._dispatched, self.now)
@@ -137,8 +149,9 @@ def stream_rng(master_seed: int, stream_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "little"))
 
 
-def uniform_draw(rng: random.Random, lo: int, hi: int) -> int:
-    """Uniform integer duration in [lo, hi], bounds inclusive.
+def uniform_sampler(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
+    """A function that draws one uniform integer duration in [lo, hi], bounds
+    inclusive, from rng.  The range is checked and sized once, here.
 
     Rejection sampling on ``rng.getrandbits``: the algorithm behind
     ``rng.randint(lo, hi)`` (``Random._randbelow_with_getrandbits``), so it
@@ -149,7 +162,16 @@ def uniform_draw(rng: random.Random, lo: int, hi: int) -> int:
     n = hi - lo + 1
     k = n.bit_length()
     getrandbits = rng.getrandbits
-    r = getrandbits(k)
-    while r >= n:
+
+    def draw() -> int:
         r = getrandbits(k)
-    return lo + r
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
+
+    return draw
+
+
+def uniform_draw(rng: random.Random, lo: int, hi: int) -> int:
+    """One draw of uniform_sampler(rng, lo, hi)."""
+    return uniform_sampler(rng, lo, hi)()

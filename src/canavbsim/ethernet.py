@@ -100,8 +100,9 @@ class CreditState:
     """802.1Qav-style credit accumulator for one shaped port.
 
     Piecewise-linear and exact: callers must invoke update() at every
-    boundary where the transmit/queue state changes, and the integration
-    between boundaries uses whichever single rate applied throughout.
+    boundary where either of its inputs (transmitting AVB, AVB queue empty)
+    changes, and the integration between boundaries uses whichever single
+    rate applied throughout.
     """
 
     def __init__(self, idle_slope: int, link_rate: int):
@@ -175,6 +176,14 @@ class EgressPort:
     ``peer`` is any object with on_frame_received(frame, now); delivery
     happens when serialization completes (zero propagation delay).  AVB
     frames carry a VLAN tag on the wire; best-effort frames do not.
+
+    The credit is brought up to now only where its slope can change (an AVB
+    arrival, the start and end of an AVB transmission) or where it is read
+    (choosing a frame while AVB waits, a depth_trace row).  While the AVB
+    queue is empty and no AVB frame is on the wire, both inputs of
+    CreditState.update stay fixed and the integration composes exactly,
+    clamp included, so the updates skipped there change nothing.  Between
+    events, ``credit.credit`` may therefore lag behind the clock.
     """
 
     def __init__(
@@ -217,7 +226,8 @@ class EgressPort:
 
     def enqueue(self, frame: EthFrame, now: int) -> bool:
         queues = self.queues
-        self.credit.update(now, self._tx_is_avb, not queues.avb_q)
+        if frame.pcp == AVB_PCP or self.depth_trace is not None:
+            self.credit.update(now, self._tx_is_avb, not queues.avb_q)
         if not queues.enqueue(frame):
             if self.on_drop is not None:
                 self.on_drop(frame)
@@ -234,7 +244,8 @@ class EgressPort:
         if self._tx_frame is not None:
             return
         queues = self.queues
-        self.credit.update(now, False, not queues.avb_q)
+        if queues.avb_q or self.depth_trace is not None:
+            self.credit.update(now, False, not queues.avb_q)
         frame = select_next_frame(queues, self.credit)
         if frame is None:
             if queues.avb_q and self._wakeup is None:
@@ -265,7 +276,8 @@ class EgressPort:
         if ev.kind == "tx_complete":
             # Integrate credit over the transmit window before clearing the
             # transmit state, or the send-slope drain would be lost.
-            self._update_credit(ev.fire_at)
+            if self._tx_is_avb or self.queues.avb_q or self.depth_trace is not None:
+                self._update_credit(ev.fire_at)
             frame = self._tx_frame
             self._tx_frame = None
             self._tx_is_avb = False

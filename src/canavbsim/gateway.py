@@ -137,16 +137,14 @@ class Gateway:
         self.fifo.append(msg)
 
     def _handle(self, ev: Event) -> None:
-        frame = self.on_pack_timer(ev.fire_at)
-        if frame is not None:
-            self.eth_port.enqueue(frame, ev.fire_at)
-        self.sim.schedule(self.name, "pack", ev.fire_at + self.pack_period)
+        now = ev.fire_at
+        if self.fifo:  # an empty tick emits nothing
+            self.eth_port.enqueue(self.on_pack_timer(now), now)
+        self.sim.schedule(self.name, "pack", now + self.pack_period)
 
-    def on_pack_timer(self, now: int) -> EthFrame | None:
-        """Build the tick's frame, or None when the FIFO is empty."""
+    def on_pack_timer(self, now: int) -> EthFrame:
+        """Build the tick's frame from the head of a non-empty FIFO."""
         fifo = self.fifo
-        if not fifo:
-            return None
         limit = self.mtu_payload
         batch = []
         size = COUNT_SIZE

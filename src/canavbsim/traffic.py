@@ -6,7 +6,7 @@ import random
 from typing import Callable
 
 from .canbus import CanBus, CanMessage
-from .core import Event, Simulator, uniform_draw
+from .core import Event, Simulator, uniform_sampler
 from .ethernet import (
     ETHERTYPE_CAN_TUNNEL,
     FCS_BYTES,
@@ -92,9 +92,7 @@ class JammingTalker:
         self.sim = sim
         self.name = name
         self.frame = frame
-        self.period_lo = period_lo
-        self.period_hi = period_hi
-        self.rng = rng
+        self._next_gap = uniform_sampler(rng, period_lo, period_hi)
         self._send = send
         sim.register(name, self._handle)
 
@@ -104,7 +102,7 @@ class JammingTalker:
     def _handle(self, ev: Event) -> None:
         now = ev.fire_at
         self._send(self.frame, now)
-        self.sim.schedule(self.name, "tick", now + uniform_draw(self.rng, self.period_lo, self.period_hi))
+        self.sim.schedule(self.name, "tick", now + self._next_gap())
 
 
 class Listener:

@@ -11,6 +11,7 @@ from canavbsim.core import (
     Simulator,
     stream_rng,
     uniform_draw,
+    uniform_sampler,
 )
 
 
@@ -126,6 +127,38 @@ def test_cancel_after_fire_changes_no_later_dispatch():
     assert stats.events_dispatched == 3
 
 
+def test_cancel_after_fire_leaves_no_stale_entry():
+    # A cancel that comes after its event fired records nothing, so no seq
+    # outlives its event and the loop keeps its empty-set fast path.
+    sim = Simulator()
+    sim.register("a", lambda ev: None)
+    fired = sim.schedule("a", "x", 10)
+    sim.run_until(10)
+    sim.cancel(fired)
+    sim.run_until(10**6)
+    assert sim._cancelled == set()
+
+
+def test_dispatch_count_includes_the_event_whose_handler_raised():
+    sim = Simulator()
+    seen = []
+
+    def handler(ev):
+        seen.append(ev.seq)
+        if len(seen) == 3:
+            raise RuntimeError("handler failed")
+
+    sim.register("a", handler)
+    for at in (10, 20, 30, 40, 50):
+        sim.schedule("a", "x", at)
+    with pytest.raises(RuntimeError):
+        sim.run_until(100)
+    assert sim.now == 30
+    stats = sim.run_until(100)
+    assert seen == [0, 1, 2, 3, 4]
+    assert stats.events_dispatched == 5
+
+
 def test_cancel_from_handler_drops_same_instant_event():
     # A handler cancelling a later event at its own timestamp, as an
     # EgressPort does with its credit wakeup.
@@ -221,6 +254,23 @@ def test_uniform_draw_matches_randint_draw_for_draw(lo, hi):
             ref.randint(lo, hi) for _ in range(100_000)
         ]
         assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("lo, hi", [(1_000, 25_000), (5, 5), (0, 2**32 - 1), (0, 2**32)])
+def test_uniform_sampler_matches_randint_draw_for_draw(lo, hi):
+    for seed in (0, 1, 42):
+        rng, ref = random.Random(seed), random.Random(seed)
+        draw = uniform_sampler(rng, lo, hi)
+        assert [draw() for _ in range(20_000)] == [ref.randint(lo, hi) for _ in range(20_000)]
+        assert rng.getstate() == ref.getstate()
+
+
+def test_uniform_sampler_rejects_an_invalid_range_when_built():
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(InvalidRange):
+        uniform_sampler(rng, 25_000, 1_000)
+    assert rng.getstate() == state
 
 
 def test_stream_rng_reproducible_and_independent():

@@ -1,6 +1,7 @@
 """Ethernet/AVB tests: wire times, credit shaper, selection, forwarding."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from canavbsim.core import Simulator
 from canavbsim.ethernet import (
@@ -301,6 +302,52 @@ def test_best_effort_frame_cancels_the_pending_wakeup():
     assert [ev.kind for ev in traced].count("send") == 3
     assert [ev.kind for ev in traced].count("tx_complete") == 3
     assert stats.events_dispatched == len(traced) == 7
+
+
+def run_arrivals(idle_slope, arrivals, tail, observed):
+    """Feed (gap_ns, pcp, payload_len) arrivals to one 100 Mbps port and run
+    tail ns past the last; returns its tx_log, the event count, and the
+    credit brought up to the horizon."""
+    sim = Simulator()
+    port = EgressPort(sim, "p", RATE, idle_slope, peer=Sink())
+    port.tx_log = []
+    if observed:
+        port.depth_trace = lambda *row: None
+    frames = {}
+    sim.register("drv", lambda ev: port.enqueue(frames.pop(ev.seq), ev.fire_at))
+    at = 0
+    for gap, pcp, payload_len in arrivals:
+        at += gap
+        frames[sim.schedule("drv", "send", at).seq] = frame(pcp, payload_len)
+    horizon = at + tail
+    stats = sim.run_until(horizon)
+    port._update_credit(horizon)
+    return port.tx_log, stats.events_dispatched, port.credit.credit
+
+
+arrival_lists = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=300_000),
+        st.sampled_from([AVB_PCP, 0]),
+        st.integers(min_value=46, max_value=1500),
+    ),
+    max_size=30,
+)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1_000_000, max_value=20_000_000), arrival_lists, st.integers(0, 2_000_000))
+# Two back-to-back AVB frames: the second waits for credit_ready.
+@example(20_000_000, [(0, AVB_PCP, 1500), (0, AVB_PCP, 1500)], 10_000_000)
+# A best-effort frame starts while AVB is gated and cancels the wakeup.
+@example(20_000_000, [(0, AVB_PCP, 1500), (0, AVB_PCP, 1500), (200_000, 0, 1500)], 10_000_000)
+def test_credit_is_the_same_whether_or_not_it_is_observed(idle_slope, arrivals, tail):
+    # With a depth_trace set the port brings the credit up to date at every
+    # arrival, start and end of transmission; without one it skips the
+    # updates where the slope stays fixed.  Both must agree exactly.
+    assert run_arrivals(idle_slope, arrivals, tail, observed=True) == run_arrivals(
+        idle_slope, arrivals, tail, observed=False
+    )
 
 
 def test_credit_reset_invariant_after_drain():
