@@ -145,8 +145,12 @@ class PortQueueSet:
 
     def enqueue(self, frame: EthFrame) -> bool:
         """Classify by pcp and append; returns False on tail drop."""
+        return self.offer(frame, frame.pcp == AVB_PCP)
+
+    def offer(self, frame: EthFrame, is_avb: bool) -> bool:
+        """Append a frame already classified; returns False on tail drop."""
         self.offered += 1
-        if frame.pcp == AVB_PCP:
+        if is_avb:
             q, cap = self.avb_q, self.avb_cap
         else:
             q, cap = self.be_q, self.be_cap
@@ -177,13 +181,15 @@ class EgressPort:
     happens when serialization completes (zero propagation delay).  AVB
     frames carry a VLAN tag on the wire; best-effort frames do not.
 
-    The credit is brought up to now only where its slope can change (an AVB
-    arrival, the start and end of an AVB transmission) or where it is read
-    (choosing a frame while AVB waits, a depth_trace row).  While the AVB
-    queue is empty and no AVB frame is on the wire, both inputs of
-    CreditState.update stay fixed and the integration composes exactly,
-    clamp included, so the updates skipped there change nothing.  Between
-    events, ``credit.credit`` may therefore lag behind the clock.
+    The credit is brought up to now at every arrival, every start and end
+    of a transmission and wherever the shaper reads it to choose a frame,
+    except while it is zero with the AVB queue empty and no AVB frame on the
+    wire.  There CreditState.update integrates no slope and clamps nothing,
+    so each update skipped is a no-op on the credit.  An AVB arrival always
+    updates, so the integration after it starts at the arrival.  The update
+    schedule does not depend on whether depth_trace is set, and every
+    depth_trace row is exact; ``credit.credit`` read between events may lag
+    behind the clock.
     """
 
     def __init__(
@@ -202,9 +208,10 @@ class EgressPort:
         self.peer = peer
         self.queues = PortQueueSet(avb_cap, be_cap)
         self.credit = CreditState(idle_slope, rate)
-        # Opt-in hooks, set before the run.  depth_trace receives
-        # (now, port name, avb depth, be depth, credit) at every queue change.
-        self.depth_trace: Callable[[int, str, int, int, int], None] | None = None
+        # Opt-in hooks, set before the run.  depth_trace receives one
+        # (now, port name, avb depth, be depth, credit) tuple at every queue
+        # change, so a list's bound append can collect the rows.
+        self.depth_trace: Callable[[tuple[int, str, int, int, int]], None] | None = None
         self.on_drop: Callable[[EthFrame], None] | None = None
         # Opt-in transmission log: set to a list before the run to collect one
         # (start_ns, wire_bits, is_avb) entry per transmission.  None keeps
@@ -213,6 +220,11 @@ class EgressPort:
         self.transmitted = 0
         self._tx_frame: EthFrame | None = None
         self._tx_is_avb = False
+        # False only where no update can change the credit: it is zero, no
+        # AVB frame waits and none is on the wire.  An AVB arrival sets it and
+        # a kick that finds that state clears it, so it may stay True a while
+        # where an update would change nothing.
+        self._shaping = False
         self._wakeup: Event | None = None
         # (payload_len, tagged) -> eth_wire_time on this link
         self._wire_times: dict[tuple[int, bool], int] = {}
@@ -226,14 +238,17 @@ class EgressPort:
 
     def enqueue(self, frame: EthFrame, now: int) -> bool:
         queues = self.queues
-        if frame.pcp == AVB_PCP or self.depth_trace is not None:
+        is_avb = frame.pcp == AVB_PCP
+        if is_avb or self._shaping:
+            # Before the append, so the integration up to now sees the old queue.
             self.credit.update(now, self._tx_is_avb, not queues.avb_q)
-        if not queues.enqueue(frame):
+            self._shaping = True
+        if not queues.offer(frame, is_avb):
             if self.on_drop is not None:
                 self.on_drop(frame)
             return False
         if self.depth_trace is not None:
-            self._trace_depth(now)
+            self.depth_trace((now, self.name, len(queues.avb_q), len(queues.be_q), self.credit.credit))
         # A busy link picks its next frame at tx_complete.
         if self._tx_frame is None:
             self.kick(now)
@@ -244,8 +259,13 @@ class EgressPort:
         if self._tx_frame is not None:
             return
         queues = self.queues
-        if queues.avb_q or self.depth_trace is not None:
+        # Selection reads the credit while AVB waits, and so does the depth
+        # row of any start.  With both queues empty nothing is read and no
+        # slope changes, so the update waits for the next arrival.
+        if self._shaping and (queues.avb_q or queues.be_q):
             self.credit.update(now, False, not queues.avb_q)
+            if not queues.avb_q and not self.credit.credit:
+                self._shaping = False
         frame = select_next_frame(queues, self.credit)
         if frame is None:
             if queues.avb_q and self._wakeup is None:
@@ -270,33 +290,31 @@ class EgressPort:
             self.tx_log.append((now, wire_bits(frame.payload_len, is_avb), is_avb))
         self.sim.schedule(self.name, "tx_complete", now + duration)
         if self.depth_trace is not None:
-            self._trace_depth(now)
+            self.depth_trace((now, self.name, len(queues.avb_q), len(queues.be_q), self.credit.credit))
 
     def _handle(self, ev: Event) -> None:
+        now = ev.fire_at
         if ev.kind == "tx_complete":
             # Integrate credit over the transmit window before clearing the
             # transmit state, or the send-slope drain would be lost.
-            if self._tx_is_avb or self.queues.avb_q or self.depth_trace is not None:
-                self._update_credit(ev.fire_at)
+            if self._shaping:
+                self._update_credit(now)
             frame = self._tx_frame
             self._tx_frame = None
             self._tx_is_avb = False
             self.transmitted += 1
             if self.depth_trace is not None:
-                self._trace_depth(ev.fire_at)
-            self.peer.on_frame_received(frame, ev.fire_at)
-            self.kick(ev.fire_at)
+                queues = self.queues
+                self.depth_trace((now, self.name, len(queues.avb_q), len(queues.be_q), self.credit.credit))
+            self.peer.on_frame_received(frame, now)
+            self.kick(now)
         else:  # credit_ready
             self._wakeup = None
-            self.kick(ev.fire_at)
+            self.kick(now)
 
     def _update_credit(self, now: int) -> None:
         # _tx_is_avb is only ever true while a frame is in service.
         self.credit.update(now, self._tx_is_avb, not self.queues.avb_q)
-
-    def _trace_depth(self, now: int) -> None:
-        """Log queue depths and credit; callers check depth_trace is set."""
-        self.depth_trace(now, self.name, len(self.queues.avb_q), len(self.queues.be_q), self.credit.credit)
 
     def accounting(self) -> dict[str, int]:
         """Exact frame conservation figures for this port."""

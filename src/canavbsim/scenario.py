@@ -17,11 +17,12 @@ import dataclasses
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TextIO
 
 from .canbus import STUFFING_MODELS, STUFFING_NONE, CAN_MAX_DLC, CAN_MAX_ID, CanBus
-from .core import NS_PER_SEC, Event, RunStats, SimulationError, Simulator, stream_rng
+from .core import NS_PER_SEC, RunStats, SimulationError, Simulator, stream_rng
 from .ethernet import (
     AVB_PCP,
     ETHERTYPE_CAN_TUNNEL,
@@ -472,6 +473,13 @@ class ScenarioResult:
     network: Network
 
 
+# Trace rows buffered between two writes, over both trace files.  Below the
+# cyclic collector's generation-0 threshold (700 by default), the buffered
+# tuples trigger no collection; larger chunks format no faster per row.
+TRACE_ROW_BUDGET = 256
+FIRST_SLICE_NS = 1_000
+
+
 def run_scenario(
     cfg: ScenarioConfig,
     trace_path: str | Path | None = None,
@@ -483,27 +491,62 @@ def run_scenario(
     config leaves earlier traces as they were."""
     net = build_network(cfg)
     with ExitStack() as files:
+        # (file, row format, buffered rows) per trace file.
+        sinks: list[tuple[TextIO, str, list[tuple]]] = []
+
+        def sink(path: str | Path, header: str, row_format: str) -> list[tuple]:
+            file = files.enter_context(open(path, "w"))
+            file.write(header)
+            rows: list[tuple] = []
+            sinks.append((file, row_format, rows))
+            return rows
+
         if trace_path:
-            trace_file = files.enter_context(open(trace_path, "w"))
-            trace_file.write("time_ns,seq,target,kind\n")
-            write = trace_file.write
-
-            def trace(ev: Event) -> None:
-                write("%d,%d,%s,%s\n" % ev)  # fire_at, seq, target, kind
-
-            net.sim.trace = trace
+            # An Event is the row: (fire_at, seq, target, kind).
+            net.sim.trace = sink(trace_path, "time_ns,seq,target,kind\n", "%d,%d,%s,%s\n").append
         if depth_trace_path:
-            depth_file = files.enter_context(open(depth_trace_path, "w"))
-            depth_file.write("time_ns,port,avb_depth,be_depth,credit\n")
-
-            def depth_trace(now: int, port: str, avb: int, be: int, credit: int) -> None:
-                depth_file.write(f"{now},{port},{avb},{be},{credit}\n")
-
+            rows = sink(depth_trace_path, "time_ns,port,avb_depth,be_depth,credit\n", "%d,%s,%d,%d,%d\n")
             for port in net.ports:
-                port.depth_trace = depth_trace
-        stats = net.run()
+                port.depth_trace = rows.append
+        stats = _run_writing(net, sinks) if sinks else net.run()
     summary = net.recorder.summarize(jam_frames=net.listener.jam_frames, drops=net.drops())
     return ScenarioResult(net.recorder.arm, net.recorder, summary, stats, net)
+
+
+def _run_writing(net: Network, sinks: list[tuple[TextIO, str, list[tuple]]]) -> RunStats:
+    """net.run() in slices of simulated time, writing each file's buffered
+    rows after every slice with one format call.
+
+    Each slice is sized from the row rate of the slice before, aiming at
+    TRACE_ROW_BUDGET rows, and grows at most twofold.  The buffer therefore
+    holds about TRACE_ROW_BUDGET rows whatever the horizon and the event
+    rate, and at most twice that times the rise of the row rate from one
+    slice to the next.  If a handler raises, the rows buffered so far, the
+    raising event's included, are written before the exception propagates."""
+
+    def write_rows() -> int:
+        written = 0
+        for file, row_format, rows in sinks:
+            if rows:
+                file.write(row_format * len(rows) % tuple(chain.from_iterable(rows)))
+                written += len(rows)
+                rows.clear()
+        return written
+
+    sim, horizon = net.sim, net.cfg.duration
+    net.start()
+    t, span = 0, FIRST_SLICE_NS
+    try:
+        while True:
+            t = min(t + span, horizon)
+            stats = sim.run_until(t)
+            written = write_rows()
+            if t == horizon:
+                return stats
+            fitted = span * TRACE_ROW_BUDGET // written if written else 2 * span
+            span = max(1, min(2 * span, fitted))
+    finally:
+        write_rows()
 
 
 @dataclass

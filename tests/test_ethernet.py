@@ -350,6 +350,92 @@ def test_credit_is_the_same_whether_or_not_it_is_observed(idle_slope, arrivals, 
     )
 
 
+class EagerCreditPort(EgressPort):
+    """A port whose credit is brought up to now before every enqueue, kick
+    of an idle link and tx_complete: the update schedule a traced port
+    followed before updates became independent of the observer."""
+
+    def enqueue(self, frame, now):
+        self._update_credit(now)
+        return super().enqueue(frame, now)
+
+    def kick(self, now):
+        if self._tx_frame is None:
+            self._update_credit(now)
+        super().kick(now)
+
+    def _handle(self, ev):
+        if ev.kind == "tx_complete":
+            self._update_credit(ev.fire_at)
+        super()._handle(ev)
+
+
+def depth_rows(port_cls, idle_slope, arrivals, tail, avb_cap, be_cap):
+    """Feed (gap_ns, pcp, payload_len) arrivals to one 100 Mbps port of
+    port_cls; returns its depth_trace rows, its tx_log and its drops."""
+    sim = Simulator()
+    port = port_cls(sim, "p", RATE, idle_slope, peer=Sink(), avb_cap=avb_cap, be_cap=be_cap)
+    rows = []
+    port.depth_trace = rows.append
+    port.tx_log = []
+    frames = {}
+    sim.register("drv", lambda ev: port.enqueue(frames.pop(ev.seq), ev.fire_at))
+    at = 0
+    for gap, pcp, payload_len in arrivals:
+        at += gap
+        frames[sim.schedule("drv", "send", at).seq] = frame(pcp, payload_len)
+    sim.run_until(at + tail)
+    return rows, port.tx_log, port.queues.dropped
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1_000_000, max_value=20_000_000),
+    arrival_lists,
+    st.integers(0, 2_000_000),
+    st.none() | st.integers(0, 3),
+    st.none() | st.integers(0, 3),
+)
+@example(20_000_000, [(0, AVB_PCP, 1500), (0, AVB_PCP, 1500)], 10_000_000, None, None)
+@example(
+    20_000_000, [(0, AVB_PCP, 1500), (0, AVB_PCP, 1500), (200_000, 0, 1500)], 10_000_000, None, None
+)
+# Positive credit at the end of an AVB transmission: the AVB frame waits
+# behind a best-effort one and earns credit, then drains less than it earned;
+# the next best-effort start must see it reset.
+@example(20_000_000, [(0, 0, 1500), (0, AVB_PCP, 46), (0, 0, 46)], 1_000_000, None, None)
+def test_depth_rows_match_an_eager_credit_update_schedule(
+    idle_slope, arrivals, tail, avb_cap, be_cap
+):
+    # Every row, credit column included, must equal the row of a port that
+    # integrates the credit at every enqueue, kick and tx_complete.
+    lazy = depth_rows(EgressPort, idle_slope, arrivals, tail, avb_cap, be_cap)
+    eager = depth_rows(EagerCreditPort, idle_slope, arrivals, tail, avb_cap, be_cap)
+    assert lazy == eager
+
+
+def test_depth_row_logs_the_positive_credit_at_an_avb_tx_complete():
+    # The 46-byte AVB frame earns credit at 20 Mbps for the 123.04 us of the
+    # best-effort frame ahead of it, then drains at 80 Mbps for its 7.04 us.
+    # Its tx_complete row still holds the rest; the kick that follows resets
+    # it to zero before the second best-effort frame starts.
+    arrivals = [(0, 0, 1500), (0, AVB_PCP, 46), (0, 0, 46)]
+    rows, _, _ = depth_rows(EgressPort, 20_000_000, arrivals, 1_000_000, None, None)
+    earned = 20_000_000 * 123_040
+    drained = 80_000_000 * 7_040
+    assert rows == [
+        (0, "p", 0, 1, 0),  # best-effort arrival
+        (0, "p", 0, 0, 0),  # it starts
+        (0, "p", 1, 0, 0),  # AVB arrival behind it
+        (0, "p", 1, 1, 0),  # second best-effort arrival
+        (123_040, "p", 1, 1, earned),  # first best-effort tx_complete
+        (123_040, "p", 0, 1, earned),  # AVB start
+        (130_080, "p", 0, 1, earned - drained),  # AVB tx_complete
+        (130_080, "p", 0, 0, 0),  # second best-effort start, credit reset
+        (136_800, "p", 0, 0, 0),  # its tx_complete
+    ]
+
+
 def test_credit_reset_invariant_after_drain():
     sim = Simulator()
     sink = Sink()

@@ -2,8 +2,10 @@
 
 import tracemalloc
 
+import pytest
+
 from canavbsim.metrics import LatencyRecorder
-from canavbsim.scenario import ScenarioConfig, arm_config, build_network, parse_config
+from canavbsim.scenario import ScenarioConfig, arm_config, build_network, parse_config, run_scenario
 
 # What a default AVB_jam run may legitimately keep growing: the best-effort
 # backlog (a deque slot of 8 bytes plus its share of the deque's 64-slot
@@ -89,3 +91,36 @@ def test_summarize_extra_memory_does_not_grow_with_the_record_count():
             tracemalloc.stop()
     assert max(peaks) < SUMMARIZE_PEAK_BOUND
     assert peaks[1] - peaks[0] < SUMMARIZE_PEAK_SLACK
+
+
+# What logging may add to the peak of a run: the rows of one slice (a few
+# hundred tuples of about 150 bytes with their ints), one formatted chunk and
+# the two files' write buffers.  Keeping every row of these runs would take
+# megabytes.
+LOGGING_PEAK_ALLOWANCE = 256 * 1024
+
+JAM = "[sim]\nseed = 42\nduration = {}\n[traffic.jammer]\nenabled = true\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(JAM.format("40ms"), id="jam_40ms"),
+        pytest.param(JAM.format("160ms"), id="jam_160ms"),
+        # About two events per simulated microsecond, ten times the jam arm's rate.
+        pytest.param(JAM.format("20ms") + "period_lo = 1us\nperiod_hi = 1us\n", id="jammer_1us"),
+    ],
+)
+def test_logging_adds_a_bounded_peak_whatever_the_horizon_and_event_rate(tmp_path, text):
+    cfg = parse_config(text)
+    logged = {"trace_path": tmp_path / "trace.csv", "depth_trace_path": tmp_path / "queue_trace.csv"}
+    peaks = []
+    for paths in ({}, logged):
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, **paths)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "trace.csv").stat().st_size > 100_000
+    assert peaks[1] - peaks[0] <= LOGGING_PEAK_ALLOWANCE

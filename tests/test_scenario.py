@@ -13,6 +13,7 @@ import pytest
 
 from canavbsim import scenario
 from canavbsim.cli import main as cli_main
+from canavbsim.ethernet import Switch
 from canavbsim.metrics import export_csv, read_csv
 from canavbsim.scenario import (
     ARMS,
@@ -412,6 +413,67 @@ def test_queue_depth_trace_written(tmp_path):
     lines = (tmp_path / "q.csv").read_text().splitlines()
     assert lines[0] == "time_ns,port,avb_depth,be_depth,credit"
     assert len(lines) > 10
+
+
+JAM_20MS = "[sim]\nseed = 7\nduration = 20ms\n[traffic.jammer]\nenabled = true\n"
+
+
+def logged_run(tmp_path, name):
+    """20 ms of AVB_jam through run_scenario with both traces; returns the
+    bytes of trace.csv and queue_trace.csv."""
+    out = tmp_path / name
+    out.mkdir()
+    paths = (out / "trace.csv", out / "queue_trace.csv")
+    run_scenario(parse_config(JAM_20MS), trace_path=paths[0], depth_trace_path=paths[1])
+    return tuple(path.read_bytes() for path in paths)
+
+
+def test_trace_files_match_rows_formatted_one_at_a_time(tmp_path, monkeypatch):
+    # Reference: every row formatted when it happens, as a plain observer of
+    # a built network would.  The buffered writer must give the same bytes
+    # with one-row slices and with the default budget.
+    net = build_network(parse_config(JAM_20MS))
+    events = ["time_ns,seq,target,kind\n"]
+    depths = ["time_ns,port,avb_depth,be_depth,credit\n"]
+    net.sim.trace = lambda ev: events.append(f"{ev.fire_at},{ev.seq},{ev.target},{ev.kind}\n")
+    for port in net.ports:
+        port.depth_trace = lambda row: depths.append(",".join(map(str, row)) + "\n")
+    net.run()
+    expected = ("".join(events).encode(), "".join(depths).encode())
+    assert len(events) > 1_000 and len(depths) > 1_000
+    assert logged_run(tmp_path, "default") == expected
+    monkeypatch.setattr(scenario, "TRACE_ROW_BUDGET", 1)
+    monkeypatch.setattr(scenario, "FIRST_SLICE_NS", 1)
+    assert logged_run(tmp_path, "one_row") == expected
+
+
+class HandlerFault(Exception):
+    pass
+
+
+def test_traced_run_that_raises_ends_with_the_raising_events_row(tmp_path, monkeypatch):
+    full_trace, full_depths = logged_run(tmp_path, "full")
+    forward = Switch._handle
+    faults = []
+
+    def failing_forward(switch, ev):
+        if ev.fire_at >= 10_000_000:
+            faults.append(HandlerFault(ev))
+            raise faults[0]
+        forward(switch, ev)
+
+    monkeypatch.setattr(Switch, "_handle", failing_forward)
+    with pytest.raises(HandlerFault) as raised:
+        logged_run(tmp_path, "failed")
+    assert raised.value is faults[0]  # propagated unchanged
+    ev = raised.value.args[0]
+    trace = (tmp_path / "failed" / "trace.csv").read_bytes()
+    depths = (tmp_path / "failed" / "queue_trace.csv").read_bytes()
+    assert trace.endswith(f"\n{ev.fire_at},{ev.seq},{ev.target},{ev.kind}\n".encode())
+    # Everything before the fault is written, exactly as in a run without it.
+    assert full_trace.startswith(trace)
+    assert full_depths.startswith(depths)
+    assert trace.count(b"\n") > 1_000 and depths.count(b"\n") > 1_000
 
 
 def write_cfg(tmp_path, text):
