@@ -67,10 +67,6 @@ class CanMessage:
         if self.created_at < 0:
             raise CanError("created_at must be a non-negative timestamp")
 
-    @property
-    def dlc(self) -> int:
-        return len(self.payload)
-
 
 def worst_case_stuff_bits(dlc: int) -> int:
     return (STUFFABLE_OVERHEAD_BITS + 8 * dlc - 1) // 4
@@ -131,21 +127,16 @@ class CanBus:
         stuffing_model: str = STUFFING_NONE,
         node_queue_cap: int | None = None,
     ):
-        if stuffing_model not in STUFFING_MODELS:
-            raise CanError(f"unknown stuffing model {stuffing_model!r}")
         self.sim = sim
         self.name = name
         self.bitrate = bitrate
         self.stuffing_model = stuffing_model
         self.node_queue_cap = node_queue_cap
         self.busy_until = 0
-        self.busy_ns = 0
-        self.frames_delivered = 0
         self.overflows: dict[str, int] = {}
         self._queues: dict[str, deque[CanMessage]] = {}
         self._receivers: dict[str, Callable[[CanMessage, int], None] | None] = {}
         self._transmitting: CanMessage | None = None
-        self._tx_duration = 0  # wire time of the frame in service
         self._frame_times: dict[int, int] = {}  # dlc -> can_frame_time on this bus
         self._arb_scheduled = False
         sim.register(name, self._handle)
@@ -203,15 +194,12 @@ class CanBus:
         duration = self._frame_times.get(dlc)
         if duration is None:
             duration = self._frame_times[dlc] = can_frame_time(dlc, self.bitrate, self.stuffing_model)
-        self._tx_duration = duration
         self.busy_until = now + duration
         self.sim.schedule(self.name, "tx_complete", self.busy_until)
 
     def _complete_transmission(self, now: int) -> None:
         msg = self._transmitting
         self._transmitting = None
-        self.frames_delivered += 1
-        self.busy_ns += self._tx_duration
         for node_id, receiver in self._receivers.items():
             if node_id != msg.source and receiver is not None:
                 receiver(msg, now)

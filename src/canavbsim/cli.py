@@ -99,7 +99,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         csv_path = out / f"latency_{result.arm}.csv"
         export_csv(result.records, csv_path)
-    print(format_summary(result.arm, result.summary))
+    net = result.network
+    print(format_summary(result.arm, result.summary, net.listener.jam_frames, net.messages_dropped()))
     print(f"events dispatched: {result.stats.events_dispatched}")
     print(f"wrote {csv_path}")
     return 0

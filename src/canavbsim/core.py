@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple
 
 NS_PER_SEC = 1_000_000_000
@@ -40,7 +40,7 @@ class Event(NamedTuple):
     columns of the trace log.
 
     Total order is (fire_at, seq); seq is unique, so tuple comparison never
-    reaches target.  Immutable: cancellation is recorded on the Simulator.
+    reaches target.  Immutable: cancel takes the entry out of the heap.
     """
 
     fire_at: int
@@ -70,7 +70,6 @@ class Simulator:
         self.now = 0
         self.trace: Callable[[Event], None] | None = None
         self._heap: list[Event] = []
-        self._cancelled: set[int] = set()  # seqs of cancelled, not yet popped events
         self._seq = 0
         self._dispatched = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
@@ -95,11 +94,13 @@ class Simulator:
     def cancel(self, ev: Event) -> None:
         """Drop a pending event; cancelling twice, or after it fired, is harmless.
 
-        Only a pending event is recorded, so no seq outlives its event.  The
-        heap holds a handful of events and cancels are rare.
+        The event leaves the heap at once, so the loop checks nothing per
+        event.  The heap holds a handful of events and cancels are rare.
         """
-        if ev in self._heap:
-            self._cancelled.add(ev.seq)
+        heap = self._heap
+        if ev in heap:
+            heap.remove(ev)
+            heapify(heap)
 
     def run_until(self, t_end: int) -> RunStats:
         """Dispatch every event with fire_at <= t_end in (fire_at, seq) order.
@@ -110,7 +111,6 @@ class Simulator:
         heap = self._heap
         handlers = self._handlers
         trace = self.trace
-        cancelled = self._cancelled
         # Counted in a local and stored back even when a handler raises; the
         # raising event counts as dispatched.
         dispatched = self._dispatched
@@ -118,9 +118,6 @@ class Simulator:
             while heap and heap[0][0] <= t_end:
                 ev = heappop(heap)
                 # Index access: ev is (fire_at, seq, target, kind).
-                if cancelled and ev[1] in cancelled:
-                    cancelled.remove(ev[1])
-                    continue
                 self.now = ev[0]
                 dispatched += 1
                 if trace is not None:
@@ -171,7 +168,3 @@ def uniform_sampler(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
 
     return draw
 
-
-def uniform_draw(rng: random.Random, lo: int, hi: int) -> int:
-    """One draw of uniform_sampler(rng, lo, hi)."""
-    return uniform_sampler(rng, lo, hi)()

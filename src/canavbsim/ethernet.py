@@ -143,10 +143,6 @@ class PortQueueSet:
         self.offered = 0
         self.dropped = 0
 
-    def enqueue(self, frame: EthFrame) -> bool:
-        """Classify by pcp and append; returns False on tail drop."""
-        return self.offer(frame, frame.pcp == AVB_PCP)
-
     def offer(self, frame: EthFrame, is_avb: bool) -> bool:
         """Append a frame already classified; returns False on tail drop."""
         self.offered += 1

@@ -139,10 +139,10 @@ class Gateway:
     def _handle(self, ev: Event) -> None:
         now = ev.fire_at
         if self.fifo:  # an empty tick emits nothing
-            self.eth_port.enqueue(self.on_pack_timer(now), now)
+            self.eth_port.enqueue(self.on_pack_timer(), now)
         self.sim.schedule(self.name, "pack", now + self.pack_period)
 
-    def on_pack_timer(self, now: int) -> EthFrame:
+    def on_pack_timer(self) -> EthFrame:
         """Build the tick's frame from the head of a non-empty FIFO."""
         fifo = self.fifo
         limit = self.mtu_payload

@@ -7,7 +7,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import filterfalse, islice, repeat
 from math import ceil
@@ -52,8 +52,6 @@ class RunSummary:
     mean: float | None = None
     p50: int | None = None
     p99: int | None = None
-    jam_frames: int = 0
-    drops: dict[str, int] = field(default_factory=dict)
 
 
 def nearest_rank(pct: float, n: int) -> int:
@@ -170,10 +168,9 @@ class LatencyRecorder(Sequence):
                 f"delivered_at {delivered_at}) does not fit the u64/u16/u64/u64 columns"
             ) from None
 
-    def summarize(self, jam_frames: int = 0, drops: dict[str, int] | None = None) -> RunSummary:
-        drops = dict(drops or {})
+    def summarize(self) -> RunSummary:
         if not self.delivered_at:
-            return RunSummary(count=0, jam_frames=jam_frames, drops=drops)
+            return RunSummary(count=0)
 
         def latencies():
             return map(sub, self.delivered_at, self.created_at)
@@ -189,8 +186,6 @@ class LatencyRecorder(Sequence):
             mean=sum(latencies()) / n,
             p50=at[p50],
             p99=at[p99],
-            jam_frames=jam_frames,
-            drops=drops,
         )
 
 
@@ -244,8 +239,9 @@ def read_csv(path: str | Path) -> list[LatencyRecord]:
     return records
 
 
-def format_summary(arm: str, s: RunSummary) -> str:
-    """Human-readable one-run summary; times reported in milliseconds."""
+def format_summary(arm: str, s: RunSummary, jam_frames: int = 0, dropped: int = 0) -> str:
+    """Human-readable one-run summary; times reported in milliseconds.  The
+    network's jam frame and dropped CAN message counts show when nonzero."""
     if s.count == 0:
         line = f"{arm:<12} count=0 (no records)"
     else:
@@ -253,9 +249,8 @@ def format_summary(arm: str, s: RunSummary) -> str:
             f"{arm:<12} count={s.count} min={s.min / 1e6:.3f}ms max={s.max / 1e6:.3f}ms "
             f"mean={s.mean / 1e6:.3f}ms p50={s.p50 / 1e6:.3f}ms p99={s.p99 / 1e6:.3f}ms"
         )
-    if s.jam_frames:
-        line += f" jam_frames={s.jam_frames}"
-    dropped = sum(s.drops.values())
+    if jam_frames:
+        line += f" jam_frames={jam_frames}"
     if dropped:
-        line += f" drops={dropped}"
+        line += f" dropped={dropped}"
     return line

@@ -316,6 +316,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return parse_config(text)
 
 
+# Trace rows buffered between two writes, over both trace files.  Below the
+# cyclic collector's generation-0 threshold (700 by default), the buffered
+# tuples trigger no collection; larger chunks format no faster per row.
+TRACE_ROW_BUDGET = 256
+FIRST_SLICE_NS = 1_000
+
+
 class Network:
     """The one-way chain CAN bus -> gw -> sw1..swN -> listener, with the
     jamming talker hanging off its configured switch, wired and ready to
@@ -405,9 +412,27 @@ class Network:
         if self.talker is not None:
             self.talker.start()
 
-    def run(self) -> RunStats:
+    def run(self, flush: Callable[[], int] = lambda: 0) -> RunStats:
+        """Start the sources and run to cfg.duration in slices of simulated
+        time, calling flush after each.  flush writes what the observers
+        buffered and returns the number of rows it wrote.
+
+        Each slice is sized from the row rate of the slice before, aiming at
+        TRACE_ROW_BUDGET rows, and grows at most twofold.  The buffer
+        therefore holds about TRACE_ROW_BUDGET rows whatever the horizon and
+        the event rate, and at most twice that times the rise of the row rate
+        from one slice to the next.  No event depends on where a slice ends."""
+        sim, horizon = self.sim, self.cfg.duration
         self.start()
-        return self.sim.run_until(self.cfg.duration)
+        t, span = 0, FIRST_SLICE_NS
+        while True:
+            t = min(t + span, horizon)
+            stats = sim.run_until(t)
+            written = flush()
+            if t == horizon:
+                return stats
+            fitted = span * TRACE_ROW_BUDGET // written if written else 2 * span
+            span = max(1, min(2 * span, fitted))
 
     @staticmethod
     def _records_in(frame: EthFrame | None) -> int:
@@ -446,18 +471,6 @@ class Network:
     def port_accounting(self) -> dict[str, dict[str, int]]:
         return {port.name: port.accounting() for port in self.ports}
 
-    def drops(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for port in self.ports:
-            if port.queues.dropped:
-                out[port.name] = port.queues.dropped
-        if self.gw.overflow_drops:
-            out["gw:fifo"] = self.gw.overflow_drops
-        for node, n in self.bus.overflows.items():
-            if n:
-                out[f"canbus:{node}"] = n
-        return out
-
 
 def build_network(cfg: ScenarioConfig) -> Network:
     """Validate cfg and wire its network."""
@@ -473,13 +486,6 @@ class ScenarioResult:
     network: Network
 
 
-# Trace rows buffered between two writes, over both trace files.  Below the
-# cyclic collector's generation-0 threshold (700 by default), the buffered
-# tuples trigger no collection; larger chunks format no faster per row.
-TRACE_ROW_BUDGET = 256
-FIRST_SLICE_NS = 1_000
-
-
 def run_scenario(
     cfg: ScenarioConfig,
     trace_path: str | Path | None = None,
@@ -488,7 +494,10 @@ def run_scenario(
     """Build, run to cfg.duration, and summarize one scenario.
 
     The config is validated before any trace file is opened, so an invalid
-    config leaves earlier traces as they were."""
+    config leaves earlier traces as they were.  Each file's buffered rows
+    are written with one format call after every slice of the run.  If a
+    handler raises, the rows buffered so far, the raising event's included,
+    are written before the exception propagates."""
     net = build_network(cfg)
     with ExitStack() as files:
         # (file, row format, buffered rows) per trace file.
@@ -508,45 +517,21 @@ def run_scenario(
             rows = sink(depth_trace_path, "time_ns,port,avb_depth,be_depth,credit\n", "%d,%s,%d,%d,%d\n")
             for port in net.ports:
                 port.depth_trace = rows.append
-        stats = _run_writing(net, sinks) if sinks else net.run()
-    summary = net.recorder.summarize(jam_frames=net.listener.jam_frames, drops=net.drops())
-    return ScenarioResult(net.recorder.arm, net.recorder, summary, stats, net)
 
+        def write_rows() -> int:
+            written = 0
+            for file, row_format, rows in sinks:
+                if rows:
+                    file.write(row_format * len(rows) % tuple(chain.from_iterable(rows)))
+                    written += len(rows)
+                    rows.clear()
+            return written
 
-def _run_writing(net: Network, sinks: list[tuple[TextIO, str, list[tuple]]]) -> RunStats:
-    """net.run() in slices of simulated time, writing each file's buffered
-    rows after every slice with one format call.
-
-    Each slice is sized from the row rate of the slice before, aiming at
-    TRACE_ROW_BUDGET rows, and grows at most twofold.  The buffer therefore
-    holds about TRACE_ROW_BUDGET rows whatever the horizon and the event
-    rate, and at most twice that times the rise of the row rate from one
-    slice to the next.  If a handler raises, the rows buffered so far, the
-    raising event's included, are written before the exception propagates."""
-
-    def write_rows() -> int:
-        written = 0
-        for file, row_format, rows in sinks:
-            if rows:
-                file.write(row_format * len(rows) % tuple(chain.from_iterable(rows)))
-                written += len(rows)
-                rows.clear()
-        return written
-
-    sim, horizon = net.sim, net.cfg.duration
-    net.start()
-    t, span = 0, FIRST_SLICE_NS
-    try:
-        while True:
-            t = min(t + span, horizon)
-            stats = sim.run_until(t)
-            written = write_rows()
-            if t == horizon:
-                return stats
-            fitted = span * TRACE_ROW_BUDGET // written if written else 2 * span
-            span = max(1, min(2 * span, fitted))
-    finally:
-        write_rows()
+        try:
+            stats = net.run(write_rows)
+        finally:
+            write_rows()
+    return ScenarioResult(net.recorder.arm, net.recorder, net.recorder.summarize(), stats, net)
 
 
 @dataclass
@@ -560,9 +545,10 @@ def comparison_table(results: dict[str, ScenarioResult]) -> str:
     lines = [f"{'arm':<12} {'count':>6} {'max_ms':>10} {'p99_ms':>10} {'jam_frames':>10}"]
     for arm in ARMS:
         s = results[arm].summary
+        jam_frames = results[arm].network.listener.jam_frames
         max_ms = f"{s.max / 1e6:.3f}" if s.count else "-"
         p99_ms = f"{s.p99 / 1e6:.3f}" if s.count else "-"
-        lines.append(f"{arm:<12} {s.count:>6} {max_ms:>10} {p99_ms:>10} {s.jam_frames:>10}")
+        lines.append(f"{arm:<12} {s.count:>6} {max_ms:>10} {p99_ms:>10} {jam_frames:>10}")
     return "\n".join(lines)
 
 

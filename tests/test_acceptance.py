@@ -173,7 +173,7 @@ def test_a6_codec_round_trip_and_malformed_rejection():
             )
         buf = pack(msgs)
         assert [CanMessage(*record) for record in decode(buf)] == msgs
-        assert len(buf) == 2 + sum(13 + m.dlc for m in msgs)
+        assert len(buf) == 2 + sum(13 + len(m.payload) for m in msgs)
 
     rejected = 0
     sample = [CanMessage(9, b"\x01\x02", 5), CanMessage(1033, bytes(8), 2**40)]

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canavbsim.core import (
     Event,
@@ -10,7 +11,6 @@ from canavbsim.core import (
     SchedulingInPast,
     Simulator,
     stream_rng,
-    uniform_draw,
     uniform_sampler,
 )
 
@@ -96,7 +96,7 @@ def test_cancelled_event_neither_dispatched_nor_counted():
     stats = sim.run_until(100)
     assert log == [(20, 1, "keep")]
     assert stats.events_dispatched == 1
-    assert sim._cancelled == set()
+    assert sim._heap == []
 
 
 def test_cancel_twice_is_harmless():
@@ -110,7 +110,7 @@ def test_cancel_twice_is_harmless():
     stats = sim.run_until(100)
     assert log == [(10, 1, "keep")]
     assert stats.events_dispatched == 1
-    assert sim._cancelled == set()
+    assert sim._heap == []
 
 
 def test_cancel_after_fire_changes_no_later_dispatch():
@@ -128,15 +128,17 @@ def test_cancel_after_fire_changes_no_later_dispatch():
 
 
 def test_cancel_after_fire_leaves_no_stale_entry():
-    # A cancel that comes after its event fired records nothing, so no seq
-    # outlives its event and the loop keeps its empty-set fast path.
+    # A cancel that comes after its event fired finds nothing to take out
+    # and leaves the pending events as they were.
     sim = Simulator()
     sim.register("a", lambda ev: None)
     fired = sim.schedule("a", "x", 10)
+    later = sim.schedule("a", "y", 20)
     sim.run_until(10)
     sim.cancel(fired)
+    assert sim._heap == [later]
     sim.run_until(10**6)
-    assert sim._cancelled == set()
+    assert sim._heap == []
 
 
 def test_dispatch_count_includes_the_event_whose_handler_raised():
@@ -176,7 +178,59 @@ def test_cancel_from_handler_drops_same_instant_event():
     handles["wakeup"] = sim.schedule("a", "wakeup", 10)
     sim.run_until(100)
     assert log == ["first"]
-    assert sim._cancelled == set()
+    assert sim._heap == []
+
+
+@st.composite
+def cancel_plans(draw):
+    """Fire times for a few events, and how each is cancelled: not at all,
+    before the run, twice, from the handler of an event dispatched earlier
+    (often at the same instant), or after it fired."""
+    n = draw(st.integers(1, 30))
+    times = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    how = st.sampled_from(["keep", "before", "twice", "handler", "after"])
+    plans = draw(st.lists(how, min_size=n, max_size=n))
+    picks = draw(st.lists(st.integers(0, 2**16), min_size=n, max_size=n))
+    return times, plans, picks
+
+
+@settings(deadline=None)
+@given(cancel_plans())
+def test_cancel_dispatches_exactly_the_uncancelled_events_in_order(plan):
+    times, plans, picks = plan
+    sim = Simulator()
+    log = []
+    cancels = {}  # seq -> the events its handler cancels
+
+    def handler(ev):
+        log.append((ev.fire_at, ev.seq))
+        for target in cancels.get(ev.seq, ()):
+            sim.cancel(target)
+
+    sim.register("a", handler)
+    events = [sim.schedule("a", "x", t) for t in times]
+    # Plans are applied in dispatch order, so a handler cancel always comes
+    # from an event that is dispatched before its target.
+    order = sorted(events)
+    cancelled = set()
+    for rank, (ev, how, pick) in enumerate(zip(order, plans, picks)):
+        if how in ("before", "twice"):
+            sim.cancel(ev)
+            cancelled.add(ev)
+        if how == "twice":
+            sim.cancel(ev)
+        if how == "handler" and rank and order[pick % rank] not in cancelled:
+            cancels.setdefault(order[pick % rank].seq, []).append(ev)
+            cancelled.add(ev)
+    stats = sim.run_until(5)
+    for ev, how in zip(order, plans):
+        if how == "after":
+            sim.cancel(ev)
+    sim.run_until(10)
+    expected = [(ev.fire_at, ev.seq) for ev in order if ev not in cancelled]
+    assert log == expected
+    assert stats.events_dispatched == len(expected)
+    assert sim._heap == []
 
 
 def test_event_is_an_immutable_heap_entry():
@@ -221,36 +275,37 @@ def test_trace_lines_match_dispatch_order():
 
 
 def test_uniform_draw_degenerate_range():
-    rng = random.Random(1)
-    assert all(uniform_draw(rng, 5_000, 5_000) == 5_000 for _ in range(100))
+    draw = uniform_sampler(random.Random(1), 5_000, 5_000)
+    assert all(draw() == 5_000 for _ in range(100))
 
 
 def test_uniform_draw_invalid_range():
     with pytest.raises(InvalidRange):
-        uniform_draw(random.Random(1), 25_000, 1_000)
+        uniform_sampler(random.Random(1), 25_000, 1_000)
 
 
 def test_uniform_draw_mean_matches_analytic():
     # Law of large numbers against the analytic mean (lo + hi) / 2 = 13 us.
-    rng = stream_rng(42, "talker")
+    draw = uniform_sampler(stream_rng(42, "talker"), 1_000, 25_000)
     n = 1_000_000
-    total = sum(uniform_draw(rng, 1_000, 25_000) for _ in range(n))
+    total = sum(draw() for _ in range(n))
     assert abs(total / n - 13_000) < 100
 
 
 def test_uniform_draw_bounds_inclusive():
-    rng = random.Random(7)
-    draws = [uniform_draw(rng, 1, 3) for _ in range(1_000)]
+    draw = uniform_sampler(random.Random(7), 1, 3)
+    draws = [draw() for _ in range(1_000)]
     assert set(draws) == {1, 2, 3}
 
 
 @pytest.mark.parametrize("lo, hi", [(1_000, 25_000), (5, 5), (0, 2**32 - 1), (0, 2**32)])
 def test_uniform_draw_matches_randint_draw_for_draw(lo, hi):
-    # The golden outputs rest on this: uniform_draw must consume and return
-    # exactly what Random.randint does on this interpreter.
+    # The golden outputs rest on this: one draw from a freshly built sampler
+    # must consume and return exactly what Random.randint does on this
+    # interpreter, so building a sampler draws nothing from the stream.
     for seed in (0, 1, 42):
         rng, ref = random.Random(seed), random.Random(seed)
-        assert [uniform_draw(rng, lo, hi) for _ in range(100_000)] == [
+        assert [uniform_sampler(rng, lo, hi)() for _ in range(100_000)] == [
             ref.randint(lo, hi) for _ in range(100_000)
         ]
         assert rng.getstate() == ref.getstate()
@@ -258,10 +313,12 @@ def test_uniform_draw_matches_randint_draw_for_draw(lo, hi):
 
 @pytest.mark.parametrize("lo, hi", [(1_000, 25_000), (5, 5), (0, 2**32 - 1), (0, 2**32)])
 def test_uniform_sampler_matches_randint_draw_for_draw(lo, hi):
+    # A sampler built once must consume and return exactly what
+    # Random.randint does on this interpreter.
     for seed in (0, 1, 42):
         rng, ref = random.Random(seed), random.Random(seed)
         draw = uniform_sampler(rng, lo, hi)
-        assert [draw() for _ in range(20_000)] == [ref.randint(lo, hi) for _ in range(20_000)]
+        assert [draw() for _ in range(100_000)] == [ref.randint(lo, hi) for _ in range(100_000)]
         assert rng.getstate() == ref.getstate()
 
 

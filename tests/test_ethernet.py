@@ -94,8 +94,8 @@ def test_select_strict_priority_at_nonnegative_credit():
     pq = PortQueueSet()
     cs = CreditState(20_000_000, RATE)
     a, b = frame(pcp=AVB_PCP), frame(pcp=0)
-    pq.enqueue(a)
-    pq.enqueue(b)
+    pq.offer(a, is_avb=True)
+    pq.offer(b, is_avb=False)
     assert select_next_frame(pq, cs) is a
 
 
@@ -104,22 +104,13 @@ def test_select_negative_credit_gates_avb():
     cs = CreditState(20_000_000, RATE)
     cs.credit = -1
     a, b = frame(pcp=AVB_PCP), frame(pcp=0)
-    pq.enqueue(a)
-    pq.enqueue(b)
+    pq.offer(a, is_avb=True)
+    pq.offer(b, is_avb=False)
     assert select_next_frame(pq, cs) is b
 
 
 def test_select_empty_returns_none():
     assert select_next_frame(PortQueueSet(), CreditState(20_000_000, RATE)) is None
-
-
-def test_classification_is_total():
-    pq = PortQueueSet()
-    for pcp in range(8):
-        pq.enqueue(frame(pcp=pcp))
-    assert len(pq.avb_q) == 1
-    assert len(pq.be_q) == 7
-    assert pq.avb_q[0].pcp == AVB_PCP
 
 
 class Sink:
@@ -128,6 +119,16 @@ class Sink:
 
     def on_frame_received(self, fr, now):
         self.received.append((fr, now))
+
+
+def test_classification_is_total():
+    # A first frame takes the idle link, so the eight that follow all queue.
+    port = EgressPort(Simulator(), "p", RATE, 20_000_000, peer=Sink())
+    port.enqueue(frame(pcp=0), 0)
+    for pcp in range(8):
+        port.enqueue(frame(pcp=pcp), 0)
+    assert [f.pcp for f in port.queues.avb_q] == [AVB_PCP]
+    assert [f.pcp for f in port.queues.be_q] == [p for p in range(8) if p != AVB_PCP]
 
 
 def test_switch_forward_classifies_and_delays():

@@ -55,14 +55,14 @@ def test_pack_known_offsets():
 def test_packed_size_formula():
     rng = random.Random(5)
     msgs = rand_messages(rng, 10)
-    assert len(pack(msgs)) == 2 + sum(13 + m.dlc for m in msgs)
+    assert len(pack(msgs)) == 2 + sum(13 + len(m.payload) for m in msgs)
 
 
 def test_roundtrip_random_lists():
     rng = random.Random(77)
     for _ in range(1_000):
         msgs = rand_messages(rng)
-        if 2 + sum(13 + m.dlc for m in msgs) > 1500:
+        if 2 + sum(13 + len(m.payload) for m in msgs) > 1500:
             msgs = msgs[:40]
         assert decoded_messages(pack(msgs)) == msgs
 

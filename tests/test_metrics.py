@@ -41,12 +41,14 @@ def test_single_record_summary():
 
 
 def test_empty_summary_flags_undefined_stats():
-    s = LatencyRecorder().summarize(jam_frames=3)
+    s = LatencyRecorder().summarize()
     assert s.count == 0
     assert s.min is None and s.max is None and s.mean is None
     assert s.p50 is None and s.p99 is None
-    assert s.jam_frames == 3
-    assert "count=0" in format_summary("Eth_jam", s)
+    assert format_summary("Eth_jam", s) == "Eth_jam      count=0 (no records)"
+    assert format_summary("Eth_jam", s, jam_frames=3, dropped=2) == (
+        "Eth_jam      count=0 (no records) jam_frames=3 dropped=2"
+    )
 
 
 def test_summary_nearest_rank_hand_computed():

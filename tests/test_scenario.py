@@ -298,6 +298,21 @@ def test_double_run_dispatch_count_self_oracle():
     assert [r.latency for r in a.records] == [r.latency for r in b.records]
 
 
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("arm", ARMS)
+def test_sliced_run_matches_one_run_until_to_the_horizon(arm, seed):
+    # run_scenario goes through Network.run, in slices of simulated time.
+    # No event may depend on where a slice ends.
+    cfg = arm_config(ScenarioConfig(seed=seed, duration=200_000_000), arm)
+    result = run_scenario(cfg)
+    net = build_network(cfg)
+    net.start()
+    stats = net.sim.run_until(cfg.duration)
+    assert result.stats == stats
+    assert result.records.columns == net.recorder.columns
+    assert len(net.recorder) > 0
+
+
 def test_suite_emits_exactly_the_four_arms(tmp_path):
     suite = run_experiment_suite(ScenarioConfig(duration=50_000_000), tmp_path)
     assert set(suite.results) == set(ARMS)
@@ -489,6 +504,23 @@ def test_cli_run_writes_csv_and_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "AVB_nature" in out
     assert (tmp_path / "out" / "latency_AVB_nature.csv").exists()
+
+
+def test_cli_run_prints_dropped_can_messages_not_dropped_frames(tmp_path, capsys):
+    # A best-effort cap of 4 frames drops thousands of jammer fillers at
+    # port:sw1->sw2; the summary line counts only the CAN messages lost.
+    text = (
+        "[sim]\nseed = 42\nduration = 200ms\n[switches]\nbe_queue_cap = 4\n"
+        "[gateway]\nclass_for_can = 0\n[traffic.jammer]\nenabled = true\n"
+    )
+    assert cli_main(["run", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    net = run_scenario(parse_config(text)).network
+    dropped = net.account()["dropped"]
+    assert dropped == 61
+    assert sum(p["dropped"] for p in net.port_accounting().values()) > 10_000
+    assert line.startswith("Eth_jam ")
+    assert line.endswith(f" jam_frames={net.listener.jam_frames} dropped={dropped}")
 
 
 def test_cli_flag_overrides(tmp_path):
