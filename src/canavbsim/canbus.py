@@ -8,8 +8,7 @@ retransmission are not modeled.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import Event, SimulationError, Simulator
 
@@ -36,36 +35,38 @@ class InvalidDlc(CanError):
     pass
 
 
-class InvalidCanId(CanError):
-    pass
-
-
 class DuplicateIdContention(CanError):
     """Two distinct nodes contend for the bus with the same identifier."""
 
 
-@dataclass(frozen=True, slots=True)
-class CanMessage:
-    """One 11-bit-ID CAN data frame request.
+class CanMessage(NamedTuple):
+    """One 11-bit-ID CAN data frame request; immutable.
 
     ``created_at`` is stamped when the sender requested transmission, so
     end-to-end latency includes CAN queueing and arbitration.  ``source`` is
-    provenance only and excluded from equality (it is not carried on the
-    packed Ethernet wire format).
+    provenance only and excluded from equality and hashing (it is not
+    carried on the packed Ethernet wire format).  Fields are not checked
+    here: ``validate_config`` bounds every id and dlc a sender uses, and
+    ``gateway.decode`` checks what comes off the wire.
     """
 
     can_id: int
     payload: bytes
     created_at: int
-    source: str = field(default="", compare=False)
+    source: str = ""
 
-    def __post_init__(self):
-        if not 0 <= self.can_id <= CAN_MAX_ID:
-            raise InvalidCanId(f"can_id {self.can_id:#x} outside 11-bit range")
-        if len(self.payload) > CAN_MAX_DLC:
-            raise InvalidDlc(f"payload of {len(self.payload)} bytes exceeds dlc 8")
-        if self.created_at < 0:
-            raise CanError("created_at must be a non-negative timestamp")
+    def __eq__(self, other):
+        if type(other) is not CanMessage:
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other):
+        if type(other) is not CanMessage:
+            return NotImplemented
+        return self[:3] != other[:3]
+
+    def __hash__(self):
+        return hash(self[:3])
 
 
 def worst_case_stuff_bits(dlc: int) -> int:
@@ -116,7 +117,7 @@ class CanBus:
 
     Each node has a FIFO transmit queue; only the head message takes part in
     arbitration.  On completion the frame is delivered to every *other*
-    attached node's receive callback.
+    attached node's receive callback, in attach order.
     """
 
     def __init__(
@@ -135,7 +136,10 @@ class CanBus:
         self.busy_until = 0
         self.overflows: dict[str, int] = {}
         self._queues: dict[str, deque[CanMessage]] = {}
-        self._receivers: dict[str, Callable[[CanMessage, int], None] | None] = {}
+        self._callbacks: dict[str, Callable[[CanMessage, int], None] | None] = {}
+        # source node -> the receive callbacks of every other node, in attach order
+        self._receivers: dict[str, list[Callable[[CanMessage, int], None]]] = {}
+        self._queued = 0  # messages in the node queues plus the one on the wire
         self._transmitting: CanMessage | None = None
         self._frame_times: dict[int, int] = {}  # dlc -> can_frame_time on this bus
         self._arb_scheduled = False
@@ -145,8 +149,18 @@ class CanBus:
         if node_id in self._queues:
             raise CanError(f"node {node_id!r} attached twice")
         self._queues[node_id] = deque()
-        self._receivers[node_id] = on_receive
         self.overflows[node_id] = 0
+        self._callbacks[node_id] = on_receive
+        # Rebuilt per attach (a bus has a handful of nodes), so delivery
+        # needs no per-frame test of the source.
+        self._receivers = {
+            source: [
+                receive
+                for node, receive in self._callbacks.items()
+                if node != source and receive is not None
+            ]
+            for source in self._callbacks
+        }
 
     def transmit_request(self, msg: CanMessage) -> bool:
         """Queue msg at its source node; returns False if the node cap dropped it."""
@@ -157,12 +171,13 @@ class CanBus:
             self.overflows[msg.source] += 1
             return False
         q.append(msg)
+        self._queued += 1
         self._schedule_arbitration()
         return True
 
     def queued_messages(self) -> int:
-        n = sum(len(q) for q in self._queues.values())
-        return n + (1 if self._transmitting is not None else 0)
+        """Messages waiting at the nodes plus the frame on the wire."""
+        return self._queued
 
     def _schedule_arbitration(self) -> None:
         # Arbitration runs as a same-timestamp event so that every request
@@ -177,18 +192,25 @@ class CanBus:
     def _handle(self, ev: Event) -> None:
         if ev.kind == "arbitrate":
             self._arb_scheduled = False
-            self._start_transmission(ev.fire_at)
+            if self._queued:  # else nothing waits, and this arbitration starts nothing
+                self._start_transmission(ev.fire_at)
         else:  # tx_complete
             self._complete_transmission(ev.fire_at)
 
     def _start_transmission(self, now: int) -> None:
-        # A list, not a set: messages with equal content from different nodes
-        # must both contend (equality ignores source).
-        heads = [q[0] for q in self._queues.values() if q]
-        if not heads:
-            return
-        winner = arbitrate(heads)
-        self._queues[winner.source].popleft()
+        # No frame is on the wire at an arbitration, so _queued counts the
+        # waiting messages.  When the first waiting node holds all of them,
+        # its head is the lone contender.
+        for q in self._queues.values():
+            if q:
+                break
+        if len(q) == self._queued:
+            winner = q.popleft()
+        else:
+            # A list, not a set: messages with equal content from different
+            # nodes must both contend (equality ignores source).
+            winner = arbitrate([q[0] for q in self._queues.values() if q])
+            self._queues[winner.source].popleft()
         self._transmitting = winner
         dlc = len(winner.payload)
         duration = self._frame_times.get(dlc)
@@ -200,9 +222,9 @@ class CanBus:
     def _complete_transmission(self, now: int) -> None:
         msg = self._transmitting
         self._transmitting = None
-        for node_id, receiver in self._receivers.items():
-            if node_id != msg.source and receiver is not None:
-                receiver(msg, now)
+        self._queued -= 1
+        for receive in self._receivers[msg.source]:
+            receive(msg, now)
         # Receivers may have queued replies at this same instant; arbitrate
         # among everything pending now.
         self._schedule_arbitration()

@@ -77,23 +77,15 @@ class EthFrame:
     only the meaningful bytes (padding never reaches the decoder, as on a
     real MAC where the length field strips it).  Frames are immutable, so
     one object may sit in several queues at once: the jamming talker sends
-    the same filler frame on every tick.
+    the same filler frame on every tick.  Fields are not checked here:
+    ``validate_config`` bounds the filler's pcp and size and the gateway's
+    MTU, and the gateway never packs past that MTU.
     """
 
     pcp: int
     payload_len: int
     payload: bytes = b""
     ethertype: int = ETHERTYPE_FILLER
-
-    def __post_init__(self):
-        if not 0 <= self.pcp <= 7:
-            raise EthError(f"pcp {self.pcp} outside 0..7")
-        if not MIN_PAYLOAD <= self.payload_len <= MAX_PAYLOAD:
-            raise InvalidPayloadLen(
-                f"payload_len {self.payload_len} outside {MIN_PAYLOAD}..{MAX_PAYLOAD}"
-            )
-        if len(self.payload) > self.payload_len:
-            raise InvalidPayloadLen("payload bytes exceed declared payload_len")
 
 
 class CreditState:

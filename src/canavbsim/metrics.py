@@ -9,12 +9,18 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import filterfalse, islice, repeat
+from itertools import chain, filterfalse, islice, repeat
 from math import ceil
 from operator import lt, rshift, sub
 from pathlib import Path
+from typing import TextIO
 
 from .core import SimulationError
+
+# Rows formatted per write.  Below the cyclic collector's generation-0
+# threshold (700 by default), the row tuples trigger no collection; larger
+# chunks format no faster per row.
+ROWS_PER_WRITE = 256
 
 CSV_HEADER = ["seq", "can_id", "created_at_ns", "delivered_at_ns", "latency_ns", "arm"]
 
@@ -200,18 +206,31 @@ def _creation_order(created_at: array, seq: array) -> list[int] | None:
     return order
 
 
+def write_rows(file: TextIO, row_format: str, rows: list[tuple]) -> None:
+    """Write rows, each formatted by row_format, with one % call."""
+    file.write(row_format * len(rows) % tuple(chain.from_iterable(rows)))
+
+
 def export_csv(recorder: LatencyRecorder, path: str | Path) -> None:
     """Write a recorder's records in (created_at, seq) order; byte output is
-    deterministic."""
+    deterministic.
+
+    Rows go out ROWS_PER_WRITE at a time through write_rows, byte for byte
+    what ``csv.writer`` writes: every field but the last is an integer, and
+    the arm label comes from ``scenario.arm_name``, whose names hold no
+    comma, quote or line break, so no field needs quoting."""
     columns = recorder.columns
     order = _creation_order(recorder.created_at, recorder.seq)
     if order is not None:
-        columns = [map(column.__getitem__, order) for column in columns]
+        columns = [array(column.typecode, map(column.__getitem__, order)) for column in columns]
+    seq, can_id, created, delivered = columns
+    row_format = "%d,%d,%d,%d,%d," + recorder.arm.replace("%", "%%") + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        arm = recorder.arm
-        writer.writerows((s, i, c, d, d - c, arm) for s, i, c, d in zip(*columns))
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for start in range(0, len(seq), ROWS_PER_WRITE):
+            end = start + ROWS_PER_WRITE
+            c, d = created[start:end], delivered[start:end]
+            write_rows(fh, row_format, list(zip(seq[start:end], can_id[start:end], c, d, map(sub, d, c))))
 
 
 def read_csv(path: str | Path) -> list[LatencyRecord]:

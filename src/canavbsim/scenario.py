@@ -17,7 +17,6 @@ import dataclasses
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -33,7 +32,7 @@ from .ethernet import (
     Switch,
 )
 from .gateway import COUNT_SIZE, RECORD_OVERHEAD, Gateway, record_count
-from .metrics import LatencyRecorder, RunSummary, export_csv
+from .metrics import ROWS_PER_WRITE, LatencyRecorder, RunSummary, export_csv, write_rows
 from .traffic import JammingTalker, Listener, PeriodicCanSender, filler_payload_len
 
 ARMS = ("Eth_nature", "Eth_jam", "AVB_nature", "AVB_jam")
@@ -316,10 +315,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return parse_config(text)
 
 
-# Trace rows buffered between two writes, over both trace files.  Below the
-# cyclic collector's generation-0 threshold (700 by default), the buffered
-# tuples trigger no collection; larger chunks format no faster per row.
-TRACE_ROW_BUDGET = 256
+# Trace rows buffered between two writes, over both trace files.
+TRACE_ROW_BUDGET = ROWS_PER_WRITE
 FIRST_SLICE_NS = 1_000
 
 
@@ -518,19 +515,19 @@ def run_scenario(
             for port in net.ports:
                 port.depth_trace = rows.append
 
-        def write_rows() -> int:
+        def flush() -> int:
             written = 0
             for file, row_format, rows in sinks:
                 if rows:
-                    file.write(row_format * len(rows) % tuple(chain.from_iterable(rows)))
+                    write_rows(file, row_format, rows)
                     written += len(rows)
                     rows.clear()
             return written
 
         try:
-            stats = net.run(write_rows)
+            stats = net.run(flush)
         finally:
-            write_rows()
+            flush()
     return ScenarioResult(net.recorder.arm, net.recorder, net.recorder.summarize(), stats, net)
 
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canavbsim.canbus import (
     STUFFING_NONE,
@@ -21,6 +22,17 @@ from canavbsim.core import Simulator
 
 def msg(can_id, source="n", created_at=0, dlc=8):
     return CanMessage(can_id, bytes(dlc), created_at, source=source)
+
+
+def test_can_message_is_immutable_and_ignores_source_in_eq_and_hash():
+    a, b = CanMessage(5, b"\x01", 7, "a"), CanMessage(5, b"\x01", 7, "b")
+    assert a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    for other in (CanMessage(6, b"\x01", 7, "a"), CanMessage(5, b"\x02", 7, "a"), CanMessage(5, b"\x01", 8, "a")):
+        assert a != other and not a == other
+    for field in ("can_id", "payload", "created_at", "source", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
 
 
 # hand counts: 47 overhead + 8*dlc payload + 3 interframe bits at 1 us/bit
@@ -269,3 +281,63 @@ def test_cached_frame_times_match_can_frame_time(stuffing):
     times = [can_frame_time(dlc, bus.bitrate, stuffing) for dlc in dlcs]
     assert [d for d, _ in done] == dlcs
     assert [t for _, t in done] == [sum(times[: i + 1]) for i in range(len(dlcs))]
+
+
+# Per node: whether it has a receive callback, and its requests as (50 us
+# slot, id offset).  Requests share slots, so many land in the same instant,
+# some mid-frame and some on an idle bus.
+bus_plans = st.tuples(
+    st.sampled_from([None, 1, 2]),
+    st.lists(
+        st.tuples(st.booleans(), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=6)),
+        min_size=2,
+        max_size=5,
+    ),
+)
+
+
+@settings(deadline=None)
+@given(bus_plans)
+def test_queued_count_and_delivery_under_random_contention(plan):
+    cap, nodes = plan
+    sim = Simulator()
+    bus = CanBus(sim, node_queue_cap=cap)
+    heard = {}  # receiving node -> payloads heard, in order
+    requests = []  # (source, message)
+    for k, (listens, plan_k) in enumerate(nodes):
+        name = f"n{k}"
+        if listens:
+            heard[name] = []
+            bus.attach(name, lambda m, t, n=name: heard[n].append(m.payload))
+        else:
+            bus.attach(name)
+        for slot, offset in plan_k:
+            # Node k owns ids 4k..4k+3, so no two nodes contend with one id;
+            # the payload names the request.
+            payload = len(requests).to_bytes(2, "little")
+            requests.append((name, CanMessage(4 * k + offset, payload, slot * 50_000, name)))
+
+    def scanned():
+        waiting = sum(len(q) for q in bus._queues.values())
+        return waiting + (bus._transmitting is not None)
+
+    def check_count(ev):  # called before each event, so after the one before
+        assert bus.queued_messages() == scanned()
+
+    accepted = {}  # payload -> source
+    sim.trace = check_count
+
+    def drive(ev):
+        source, m = requests[int(ev.kind)]
+        if bus.transmit_request(m):
+            accepted[m.payload] = source
+
+    sim.register("drv", drive)
+    for i, (_, m) in enumerate(requests):
+        sim.schedule("drv", str(i), m.created_at)
+    sim.run_until(100_000_000)
+    assert bus.queued_messages() == scanned() == 0
+    assert sum(bus.overflows.values()) == len(requests) - len(accepted)
+    # Every frame reaches exactly the other receiving nodes, once each.
+    for node, payloads in heard.items():
+        assert sorted(payloads) == sorted(p for p, source in accepted.items() if source != node)

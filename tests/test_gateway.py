@@ -14,7 +14,7 @@ from canavbsim.gateway import (
     decode,
     pack,
 )
-from canavbsim.scenario import ScenarioConfig
+from canavbsim.scenario import ScenarioConfig, parse_config, run_scenario
 
 
 def decoded_messages(payload):
@@ -71,6 +71,14 @@ def test_pack_overflow():
     msgs = [CanMessage(1, bytes(8), 0) for _ in range(72)]  # 2 + 72*21 = 1514
     with pytest.raises(PayloadOverflow):
         pack(msgs)
+
+
+def test_pack_exact_fit_fills_the_limit_to_the_byte():
+    msgs = [CanMessage(i, bytes(dlc), i) for i, dlc in enumerate((8, 0, 3))]
+    size = 2 + sum(13 + len(m.payload) for m in msgs)  # 52 bytes
+    assert len(pack(msgs, size)) == size
+    with pytest.raises(PayloadOverflow):
+        pack(msgs, size - 1)
 
 
 def test_unpack_rejects_truncation_at_every_boundary():
@@ -186,6 +194,32 @@ def test_pack_timer_drains_greedily_and_keeps_leftover():
     sim.run_until(500_000)
     assert len(sent) == 2
     assert len(decoded_messages(sent[1][0].payload)) == 9
+
+
+def test_pack_timer_takes_records_that_fill_the_mtu_exactly():
+    # mtu 44 = 2 + 2 * 21: two dlc-8 records fill it to the byte; the third waits.
+    sim, gw, sent = make_gw(mtu_payload=44)
+    msgs = [CanMessage(0x100, i.to_bytes(8, "little"), i) for i in range(3)]
+    for m in msgs:
+        gw.on_can_received(m, m.created_at)
+    gw.start()
+    sim.run_until(0)
+    [(frame, _)] = sent
+    assert len(frame.payload) == 44
+    assert decoded_messages(frame.payload) == msgs[:2]
+    assert list(gw.fifo) == msgs[2:]
+
+
+def test_exact_fit_mtu_run_carries_two_records_per_tick():
+    # The sender offers about 4.2 dlc-8 messages per 500 us tick, and a
+    # 44-byte payload holds exactly two.  The tick at t=0 finds the FIFO
+    # empty; the ticks at 0.5 .. 50 ms each send two records, and all but
+    # the frame sent at the 50 ms horizon are delivered: 198 messages.
+    result = run_scenario(parse_config(
+        "[sim]\nduration = 50ms\n[gateway]\nmtu_payload = 44\n[traffic.sender]\nperiod = 120us\n"
+    ))
+    assert len(result.records) == 198
+    assert result.network.gw.frames_sent == 100
 
 
 def test_pack_timer_period_spacing():

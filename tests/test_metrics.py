@@ -1,5 +1,7 @@
 """Metrics tests: record handling, nearest-rank statistics, CSV determinism."""
 
+import csv
+import io
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from canavbsim.metrics import (
     CSV_HEADER,
+    ROWS_PER_WRITE,
     LatencyRecord,
     LatencyRecorder,
     MetricsError,
@@ -116,6 +119,24 @@ def test_export_rows_in_creation_time_order(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("0,256,0,550000,550000,")
     assert lines[2].startswith("1,256,3000000,3600000,600000,")
+
+
+@pytest.mark.parametrize("n", [1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 88])
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("arm", ["AVB_nature", "", "100%"])
+def test_export_bytes_equal_csv_writer_across_chunks(tmp_path, n, shuffled, arm):
+    rng = random.Random(n)
+    records = [rec(i, 1_000 * i, 1_000 * i + rng.randrange(2**40), arm, rng.randrange(2048)) for i in range(n)]
+    if shuffled:
+        rng.shuffle(records)
+    path = tmp_path / "out.csv"
+    export_csv(recorder_of(records, arm), path)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in sorted(records, key=lambda r: (r.created_at, r.seq)):
+        writer.writerow((r.seq, r.can_id, r.created_at, r.delivered_at, r.latency, arm))
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_export_deterministic_bytes_and_roundtrip(tmp_path):

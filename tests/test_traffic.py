@@ -169,11 +169,14 @@ def test_listener_rejects_frame_created_after_delivery():
 def test_listener_builds_no_message_or_record_objects(monkeypatch):
     frame = can_frame([CanMessage(1, (i).to_bytes(8, "little"), 100 * i) for i in range(3)])
 
-    def built(self):
-        raise AssertionError(f"{type(self).__name__} built on the record path")
+    def built(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} built on the record path")
 
-    monkeypatch.setattr(CanMessage, "__post_init__", built)
-    monkeypatch.setattr(LatencyRecord, "__post_init__", built)
+    # Every way to build either: the constructors, and the NamedTuple's
+    # alternate constructor (which _replace goes through too).
+    monkeypatch.setattr(CanMessage, "__new__", built)
+    monkeypatch.setattr(CanMessage, "_make", classmethod(built))
+    monkeypatch.setattr(LatencyRecord, "__new__", built)
     listener = Listener("listener", LatencyRecorder())
     listener.on_frame_received(frame, 10_000)
     assert list(listener.recorder.seq) == [0, 1, 2]
