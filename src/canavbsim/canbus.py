@@ -31,10 +31,6 @@ class CanError(SimulationError):
     pass
 
 
-class InvalidDlc(CanError):
-    pass
-
-
 class DuplicateIdContention(CanError):
     """Two distinct nodes contend for the bus with the same identifier."""
 
@@ -75,12 +71,6 @@ def worst_case_stuff_bits(dlc: int) -> int:
 
 def can_frame_time(dlc: int, bitrate: int, stuffing_model: str = STUFFING_NONE) -> int:
     """Wire time in ns of one data frame plus interframe space, rounded up."""
-    if not 0 <= dlc <= CAN_MAX_DLC:
-        raise InvalidDlc(f"dlc must be 0..8, got {dlc}")
-    if bitrate <= 0:
-        raise CanError(f"bitrate must be positive, got {bitrate}")
-    if stuffing_model not in STUFFING_MODELS:
-        raise CanError(f"unknown stuffing model {stuffing_model!r}")
     bits = FRAME_OVERHEAD_BITS + 8 * dlc + INTERFRAME_BITS
     if stuffing_model == STUFFING_WORST_CASE:
         bits += worst_case_stuff_bits(dlc)

@@ -40,22 +40,12 @@ class EthError(SimulationError):
     pass
 
 
-class InvalidPayloadLen(EthError):
-    pass
-
-
 class ClockRegression(EthError):
     """Credit update asked to integrate backwards in time."""
 
 
-class InvalidSlope(EthError):
-    pass
-
-
 def wire_bits(payload_len: int, tagged: bool) -> int:
     """Bits occupied on the wire including preamble and interframe gap."""
-    if not MIN_PAYLOAD <= payload_len <= MAX_PAYLOAD:
-        raise InvalidPayloadLen(f"payload_len {payload_len} outside {MIN_PAYLOAD}..{MAX_PAYLOAD}")
     octets = PREAMBLE_BYTES + HEADER_BYTES + payload_len + FCS_BYTES + IFG_BYTES
     if tagged:
         octets += VLAN_TAG_BYTES
@@ -64,8 +54,6 @@ def wire_bits(payload_len: int, tagged: bool) -> int:
 
 def eth_wire_time(payload_len: int, tagged: bool, rate: int) -> int:
     """Serialization time in ns, rounded up so wire time is never understated."""
-    if rate <= 0:
-        raise EthError(f"link rate must be positive, got {rate}")
     return -(-wire_bits(payload_len, tagged) * 1_000_000_000 // rate)
 
 
@@ -98,8 +86,6 @@ class CreditState:
     """
 
     def __init__(self, idle_slope: int, link_rate: int):
-        if not 0 < idle_slope < link_rate:
-            raise InvalidSlope(f"need 0 < idle_slope < link rate, got {idle_slope}/{link_rate}")
         self.idle_slope = idle_slope
         self.send_slope = idle_slope - link_rate
         self.credit = 0

@@ -23,7 +23,6 @@ from .canbus import CAN_MAX_DLC, CAN_MAX_ID, CanMessage
 from .core import Event, SimulationError, Simulator
 from .ethernet import (
     ETHERTYPE_CAN_TUNNEL,
-    MAX_PAYLOAD,
     MIN_PAYLOAD,
     EgressPort,
     EthFrame,
@@ -39,27 +38,19 @@ class GatewayError(SimulationError):
     pass
 
 
-class PayloadOverflow(GatewayError):
-    pass
-
-
 class MalformedPayload(GatewayError):
     pass
 
 
-def pack(messages: list[CanMessage], limit: int = MAX_PAYLOAD) -> bytes:
-    """Serialize messages into one payload; raises PayloadOverflow past limit."""
-    if len(messages) > 0xFFFF:
-        raise PayloadOverflow(f"{len(messages)} records exceed the 16-bit count field")
+def pack(messages: list[CanMessage]) -> bytes:
+    """Serialize messages into one payload.  The caller keeps it within the
+    MTU payload, and so within the 16-bit count field."""
     record = _RECORD.pack
     parts = [_COUNT.pack(len(messages))]
     for m in messages:
         data = m.payload
         parts += (record(m.can_id, len(data), m.created_at), data)
-    payload = b"".join(parts)
-    if len(payload) > limit:
-        raise PayloadOverflow(f"{len(payload)} bytes exceed the {limit}-byte payload limit")
-    return payload
+    return b"".join(parts)
 
 
 def record_count(payload: bytes) -> int:
@@ -153,7 +144,7 @@ class Gateway:
             if size > limit:
                 break
             batch.append(fifo.popleft())
-        payload = pack(batch, limit)
+        payload = pack(batch)
         self.frames_sent += 1
         return EthFrame(
             pcp=self.class_for_can,

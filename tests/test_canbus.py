@@ -12,7 +12,6 @@ from canavbsim.canbus import (
     CanError,
     CanMessage,
     DuplicateIdContention,
-    InvalidDlc,
     arbitrate,
     can_frame_time,
     worst_case_stuff_bits,
@@ -53,11 +52,6 @@ def test_frame_time_rounds_up():
     # awkward bitrate instead so the ceil matters.
     assert can_frame_time(8, 999_999) == -(-114 * 10**9 // 999_999)
     assert can_frame_time(8, 999_999) * 999_999 >= 114 * 10**9
-
-
-def test_frame_time_invalid_dlc():
-    with pytest.raises(InvalidDlc):
-        can_frame_time(9, 1_000_000)
 
 
 def bit_stuff_count(bits):

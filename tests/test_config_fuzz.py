@@ -5,6 +5,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
+from canavbsim.canbus import STUFFING_MODELS
 from canavbsim.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -50,6 +51,10 @@ def near(*points):
 
 # The fields the actors take, drawn around the bounds validate_config checks.
 ACTOR_FIELDS = {
+    "can_bitrate": near(0, 1_000_000),
+    "can_stuffing_model": st.sampled_from(STUFFING_MODELS + ("bogus",)),
+    "eth_rate": near(0, 20_000_000, 100_000_000),
+    "idle_slope": near(0, 20_000_000, 100_000_000),
     "gw_pack_period": near(0, 500_000),
     "gw_mtu_payload": near(15, 23, 1500),
     "gw_class_for_can": near(0, 7),

@@ -6,11 +6,10 @@ import pytest
 
 from canavbsim.canbus import CanMessage
 from canavbsim.core import Simulator
-from canavbsim.ethernet import ETHERTYPE_CAN_TUNNEL, AVB_PCP
+from canavbsim.ethernet import ETHERTYPE_CAN_TUNNEL, AVB_PCP, MAX_PAYLOAD
 from canavbsim.gateway import (
     Gateway,
     MalformedPayload,
-    PayloadOverflow,
     decode,
     pack,
 )
@@ -62,23 +61,15 @@ def test_roundtrip_random_lists():
     rng = random.Random(77)
     for _ in range(1_000):
         msgs = rand_messages(rng)
-        if 2 + sum(13 + len(m.payload) for m in msgs) > 1500:
-            msgs = msgs[:40]
         assert decoded_messages(pack(msgs)) == msgs
 
 
-def test_pack_overflow():
-    msgs = [CanMessage(1, bytes(8), 0) for _ in range(72)]  # 2 + 72*21 = 1514
-    with pytest.raises(PayloadOverflow):
-        pack(msgs)
-
-
 def test_pack_exact_fit_fills_the_limit_to_the_byte():
-    msgs = [CanMessage(i, bytes(dlc), i) for i, dlc in enumerate((8, 0, 3))]
-    size = 2 + sum(13 + len(m.payload) for m in msgs)  # 52 bytes
-    assert len(pack(msgs, size)) == size
-    with pytest.raises(PayloadOverflow):
-        pack(msgs, size - 1)
+    # 70 dlc-8 records and two dlc-1 records: 2 + 70*21 + 2*14 = 1500 bytes.
+    msgs = [CanMessage(i, bytes(8 if i < 70 else 1), i) for i in range(72)]
+    payload = pack(msgs)
+    assert len(payload) == MAX_PAYLOAD
+    assert decoded_messages(payload) == msgs
 
 
 def test_unpack_rejects_truncation_at_every_boundary():

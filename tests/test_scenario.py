@@ -113,6 +113,11 @@ def test_mtu_that_cannot_hold_one_sender_record_rejected():
 @pytest.mark.parametrize(
     "key,value,other",
     [
+        ("can.bitrate", "0", ""),
+        ("can.stuffing_model", "bogus", ""),
+        ("ethernet.rate", "0", ""),
+        ("switches.idle_slope", "0", ""),
+        ("switches.idle_slope", "100Mbps", ""),
         ("gateway.pack_period", "0", ""),
         ("gateway.pack_period", "-1", ""),
         ("gateway.mtu_payload", "14", ""),
@@ -129,6 +134,7 @@ def test_mtu_that_cannot_hold_one_sender_record_rejected():
         ("traffic.jammer.frame_total_bytes", "60", ""),
         ("traffic.jammer.frame_total_bytes", "1523", ""),
         ("traffic.jammer.frame_total_bytes", "67", "traffic.jammer.pcp = 3"),
+        ("traffic.jammer.link_rate", "1", ""),
     ],
 )
 def test_actor_value_rejected_naming_its_key(key, value, other):
