@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from itertools import repeat
+from typing import Any, Callable, Iterator
 
 from .core import Event, SimulationError, Simulator
 
@@ -110,42 +111,87 @@ class CreditState:
         return -(-(-self.credit) // self.idle_slope)
 
 
+class RunFifo:
+    """A FIFO of frames that holds back-to-back references to one frame
+    object as one run, so a backlog of the shared filler costs O(1) memory.
+
+    ``depth`` is the frame count; hot paths read it as a plain attribute.
+    ``tail`` is the frame of the last run, whose length is
+    ``depth - closed_depth``; the runs before it sit in ``closed`` as
+    [frame, count] lists.  Appending a repeat of the tail therefore costs
+    one identity test and one integer add.  A queue always drains from a
+    single run, so an empty one keeps ``tail`` at its last frame: a repeat
+    of that frame starts the queue afresh, and any other frame replaces it.
+    ``len()`` and iteration count frames, not runs.
+    """
+
+    __slots__ = ("cap", "depth", "tail", "closed", "closed_depth")
+
+    def __init__(self, cap: int | None = None) -> None:
+        self.cap = cap  # tail-drop limit in frames, kept here for PortQueueSet.offer
+        self.depth = 0
+        self.tail: EthFrame | None = None
+        self.closed: deque[list] = deque()
+        self.closed_depth = 0
+
+    def append(self, frame: EthFrame) -> None:
+        if frame is not self.tail and self.depth:
+            self.closed.append([self.tail, self.depth - self.closed_depth])
+            self.closed_depth = self.depth
+        self.tail = frame
+        self.depth += 1
+
+    def popleft(self) -> EthFrame:
+        """Remove and return the head frame; the FIFO must not be empty."""
+        self.depth -= 1
+        if not self.closed_depth:
+            return self.tail
+        run = self.closed[0]
+        run[1] -= 1
+        self.closed_depth -= 1
+        if not run[1]:
+            self.closed.popleft()
+        return run[0]
+
+    def runs(self) -> Iterator[tuple[EthFrame, int]]:
+        """(frame, count) for each run, head first."""
+        for frame, count in self.closed:
+            yield frame, count
+        if self.depth:
+            yield self.tail, self.depth - self.closed_depth
+
+    def __len__(self) -> int:
+        return self.depth
+
+    def __iter__(self) -> Iterator[EthFrame]:
+        for frame, count in self.runs():
+            yield from repeat(frame, count)
+
+
 class PortQueueSet:
     """The AVB and best-effort FIFOs of one egress port, with counters."""
 
     def __init__(self, avb_cap: int | None = None, be_cap: int | None = None):
-        self.avb_q: deque[EthFrame] = deque()
-        self.be_q: deque[EthFrame] = deque()
-        self.avb_cap = avb_cap
-        self.be_cap = be_cap
+        self.avb_q = RunFifo(avb_cap)
+        self.be_q = RunFifo(be_cap)
         self.offered = 0
         self.dropped = 0
 
     def offer(self, frame: EthFrame, is_avb: bool) -> bool:
         """Append a frame already classified; returns False on tail drop."""
         self.offered += 1
-        if is_avb:
-            q, cap = self.avb_q, self.avb_cap
-        else:
-            q, cap = self.be_q, self.be_cap
-        if cap is not None and len(q) >= cap:
+        q = self.avb_q if is_avb else self.be_q
+        if q.cap is not None and q.depth >= q.cap:
             self.dropped += 1
             return False
-        q.append(frame)
+        if frame is q.tail:  # the common case, inlined: one more of the tail run
+            q.depth += 1
+        else:
+            q.append(frame)
         return True
 
-
-def select_next_frame(pq: PortQueueSet, cs: CreditState) -> EthFrame | None:
-    """Head frame eligible to transmit now, or None.
-
-    AVB has strict priority while credit >= 0; negative credit gates the
-    AVB queue and lets best-effort through.
-    """
-    if pq.avb_q and cs.credit >= 0:
-        return pq.avb_q[0]
-    if pq.be_q:
-        return pq.be_q[0]
-    return None
+    def queued_frames(self) -> int:
+        return self.avb_q.depth + self.be_q.depth
 
 
 class EgressPort:
@@ -208,21 +254,21 @@ class EgressPort:
         return self._tx_frame
 
     def queued_frames(self) -> int:
-        return len(self.queues.avb_q) + len(self.queues.be_q)
+        return self.queues.queued_frames()
 
     def enqueue(self, frame: EthFrame, now: int) -> bool:
         queues = self.queues
         is_avb = frame.pcp == AVB_PCP
         if is_avb or self._shaping:
             # Before the append, so the integration up to now sees the old queue.
-            self.credit.update(now, self._tx_is_avb, not queues.avb_q)
+            self.credit.update(now, self._tx_is_avb, not queues.avb_q.depth)
             self._shaping = True
         if not queues.offer(frame, is_avb):
             if self.on_drop is not None:
                 self.on_drop(frame)
             return False
         if self.depth_trace is not None:
-            self.depth_trace((now, self.name, len(queues.avb_q), len(queues.be_q), self.credit.credit))
+            self.depth_trace((now, self.name, queues.avb_q.depth, queues.be_q.depth, self.credit.credit))
         # A busy link picks its next frame at tx_complete.
         if self._tx_frame is None:
             self.kick(now)
@@ -233,24 +279,30 @@ class EgressPort:
         if self._tx_frame is not None:
             return
         queues = self.queues
+        avb_q = queues.avb_q
         # Selection reads the credit while AVB waits, and so does the depth
         # row of any start.  With both queues empty nothing is read and no
         # slope changes, so the update waits for the next arrival.
-        if self._shaping and (queues.avb_q or queues.be_q):
-            self.credit.update(now, False, not queues.avb_q)
-            if not queues.avb_q and not self.credit.credit:
+        if self._shaping and (avb_q.depth or queues.be_q.depth):
+            self.credit.update(now, False, not avb_q.depth)
+            if not avb_q.depth and not self.credit.credit:
                 self._shaping = False
-        frame = select_next_frame(queues, self.credit)
-        if frame is None:
-            if queues.avb_q and self._wakeup is None:
+        # AVB has strict priority while credit >= 0; negative credit gates
+        # the AVB queue and lets best-effort through.
+        if avb_q.depth and self.credit.credit >= 0:
+            q = avb_q
+        elif queues.be_q.depth:
+            q = queues.be_q
+        else:
+            if avb_q.depth and self._wakeup is None:
                 # AVB gated on negative credit with nothing else to send:
                 # wake exactly when credit reaches zero.
                 self._wakeup = self.sim.schedule(
                     self.name, "credit_ready", now + self.credit.replenish_delay()
                 )
             return
-        is_avb = frame.pcp == AVB_PCP
-        (queues.avb_q if is_avb else queues.be_q).popleft()
+        frame = q.popleft()
+        is_avb = q is avb_q
         if self._wakeup is not None:
             self.sim.cancel(self._wakeup)
             self._wakeup = None
@@ -264,7 +316,7 @@ class EgressPort:
             self.tx_log.append((now, wire_bits(frame.payload_len, is_avb), is_avb))
         self.sim.schedule(self.name, "tx_complete", now + duration)
         if self.depth_trace is not None:
-            self.depth_trace((now, self.name, len(queues.avb_q), len(queues.be_q), self.credit.credit))
+            self.depth_trace((now, self.name, queues.avb_q.depth, queues.be_q.depth, self.credit.credit))
 
     def _handle(self, ev: Event) -> None:
         now = ev.fire_at
@@ -279,7 +331,7 @@ class EgressPort:
             self.transmitted += 1
             if self.depth_trace is not None:
                 queues = self.queues
-                self.depth_trace((now, self.name, len(queues.avb_q), len(queues.be_q), self.credit.credit))
+                self.depth_trace((now, self.name, queues.avb_q.depth, queues.be_q.depth, self.credit.credit))
             self.peer.on_frame_received(frame, now)
             self.kick(now)
         else:  # credit_ready
@@ -288,7 +340,7 @@ class EgressPort:
 
     def _update_credit(self, now: int) -> None:
         # _tx_is_avb is only ever true while a frame is in service.
-        self.credit.update(now, self._tx_is_avb, not self.queues.avb_q)
+        self.credit.update(now, self._tx_is_avb, not self.queues.avb_q.depth)
 
     def accounting(self) -> dict[str, int]:
         """Exact frame conservation figures for this port."""

@@ -14,6 +14,7 @@ backbone to the listener, and a disabled jamming talker on switch 1.
 from __future__ import annotations
 
 import dataclasses
+import re
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,6 +67,15 @@ _DURATION_UNITS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": NS_PER_SEC}
 _RATE_UNITS = {"bps": 1, "kbps": 1_000, "mbps": 1_000_000, "gbps": 1_000_000_000}
 
 
+# The number syntax of Fraction on Python 3.11, where underscores may only
+# group digits.  3.10 rejects underscores and 3.12 allows spaces around "/",
+# so numbers are matched here and reach Fraction without underscores.
+_NUMBER = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d+(_\d+)*)?"
+    r"(/\d+(_\d+)*|(\.(\d+(_\d+)*)?)?(e[-+]?\d+(_\d+)*)?)\s*"
+)
+
+
 def _scaled_int(text: str, units: dict[str, int], what: str) -> int:
     raw = text.strip().lower().replace("µs", "us")
     mult = 1
@@ -73,9 +83,12 @@ def _scaled_int(text: str, units: dict[str, int], what: str) -> int:
         if raw.endswith(suffix):
             raw, mult = raw[: -len(suffix)].strip(), units[suffix]
             break
+    if not _NUMBER.fullmatch(raw):
+        raise ValidationError(f"cannot parse {what} {text!r}")
+    raw = raw.replace("_", "")
     # Fraction builds 10**exponent, so a huge exponent would run for minutes.
     _, e, exponent = raw.partition("e")
-    if e and len(exponent.lstrip("+-").replace("_", "").lstrip("0")) > 2:
+    if e and len(exponent.lstrip("+-").lstrip("0")) > 2:
         raise ValidationError(f"{what} {text!r} has an exponent beyond ±99")
     try:
         value = Fraction(raw) * mult
@@ -442,8 +455,8 @@ class Network:
         total = self.bus.queued_messages() + len(self.gw.fifo)
         for port in self.ports:
             for queue in (port.queues.avb_q, port.queues.be_q):
-                for frame in queue:
-                    total += self._records_in(frame)
+                for frame, count in queue.runs():
+                    total += count * self._records_in(frame)
             total += self._records_in(port.in_service())
         for sw in self.switches:
             for frame in sw.pending:

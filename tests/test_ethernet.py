@@ -1,5 +1,7 @@
 """Ethernet/AVB tests: wire times, credit shaper, selection, forwarding."""
 
+from collections import deque
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,7 +15,6 @@ from canavbsim.ethernet import (
     PortQueueSet,
     Switch,
     eth_wire_time,
-    select_next_frame,
     wire_bits,
 )
 
@@ -82,35 +83,92 @@ def test_credit_clock_regression():
         cs.update(99, False, True)
 
 
-def test_select_strict_priority_at_nonnegative_credit():
-    pq = PortQueueSet()
-    cs = CreditState(20_000_000, RATE)
-    a, b = frame(pcp=AVB_PCP), frame(pcp=0)
-    pq.offer(a, is_avb=True)
-    pq.offer(b, is_avb=False)
-    assert select_next_frame(pq, cs) is a
-
-
-def test_select_negative_credit_gates_avb():
-    pq = PortQueueSet()
-    cs = CreditState(20_000_000, RATE)
-    cs.credit = -1
-    a, b = frame(pcp=AVB_PCP), frame(pcp=0)
-    pq.offer(a, is_avb=True)
-    pq.offer(b, is_avb=False)
-    assert select_next_frame(pq, cs) is b
-
-
-def test_select_empty_returns_none():
-    assert select_next_frame(PortQueueSet(), CreditState(20_000_000, RATE)) is None
-
-
 class Sink:
     def __init__(self):
         self.received = []
 
     def on_frame_received(self, fr, now):
         self.received.append((fr, now))
+
+
+def selected(credit, *offers):
+    """The frame an idle port starts when kicked with these queued
+    (frame, is_avb) offers and this credit."""
+    port = EgressPort(Simulator(), "p", RATE, 20_000_000, peer=Sink())
+    port.credit.credit = credit
+    for fr, is_avb in offers:
+        port.queues.offer(fr, is_avb)
+    port.kick(0)
+    return port.in_service()
+
+
+def test_select_strict_priority_at_nonnegative_credit():
+    a, b = frame(pcp=AVB_PCP), frame(pcp=0)
+    assert selected(0, (a, True), (b, False)) is a
+
+
+def test_select_negative_credit_gates_avb():
+    a, b = frame(pcp=AVB_PCP), frame(pcp=0)
+    assert selected(-1, (a, True), (b, False)) is b
+
+
+def test_select_empty_returns_none():
+    assert selected(0) is None
+
+
+# One draw per step: ("offer", shared, is_avb) offers the one shared filler
+# or a new frame to a class; ("pop", is_avb) pops that class's head, and is
+# skipped while the class is empty.
+queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("offer"), st.booleans(), st.booleans()),
+        st.tuples(st.just("pop"), st.booleans()),
+    ),
+    max_size=60,
+)
+caps = st.none() | st.integers(0, 5)
+FILLER, NEW, POP = ("offer", True, False), ("offer", False, False), ("pop", False)
+DRAIN = [FILLER, FILLER, POP, POP]
+
+
+@settings(deadline=None)
+@given(queue_ops, caps, caps)
+@example(DRAIN + [NEW, FILLER, POP], None, None)
+@example(DRAIN + [FILLER, FILLER, POP], None, None)
+@example([NEW, FILLER, FILLER, NEW] + [POP] * 4, None, None)
+@example([("offer", True, True), ("offer", False, True), ("offer", True, True), ("pop", True)], 2, None)
+def test_port_queues_match_a_deque_model(ops, avb_cap, be_cap):
+    filler = frame(pcp=0, payload_len=1452)
+    pq = PortQueueSet(avb_cap, be_cap)
+    model = {True: deque(), False: deque()}
+    cap = {True: avb_cap, False: be_cap}
+    offered = dropped = 0
+    for op in ops:
+        if op[0] == "offer":
+            _, shared, is_avb = op
+            fr = filler if shared else frame(pcp=AVB_PCP if is_avb else 0)
+            accepted = cap[is_avb] is None or len(model[is_avb]) < cap[is_avb]
+            offered += 1
+            if accepted:
+                model[is_avb].append(fr)
+            else:
+                dropped += 1
+            assert pq.offer(fr, is_avb) is accepted
+        elif model[op[1]]:
+            is_avb = op[1]
+            assert (pq.avb_q if is_avb else pq.be_q).popleft() is model[is_avb].popleft()
+        for q, ref in ((pq.avb_q, model[True]), (pq.be_q, model[False])):
+            ids = [id(fr) for fr in ref]
+            assert len(q) == len(ref)
+            assert [id(fr) for fr in q] == ids
+            assert [id(fr) for fr, count in q.runs() for _ in range(count)] == ids
+            assert all(count > 0 for _, count in q.runs())
+            assert next(iter(q), None) is (ref[0] if ref else None)
+        assert (pq.offered, pq.dropped, pq.queued_frames()) == (
+            offered,
+            dropped,
+            len(model[True]) + len(model[False]),
+        )
 
 
 def test_classification_is_total():

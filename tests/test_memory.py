@@ -124,3 +124,54 @@ def test_logging_adds_a_bounded_peak_whatever_the_horizon_and_event_rate(tmp_pat
             tracemalloc.stop()
     assert (tmp_path / "trace.csv").stat().st_size > 100_000
     assert peaks[1] - peaks[0] <= LOGGING_PEAK_ALLOWANCE
+
+
+# What a jammed run may keep growing once the backlog has formed: one row of
+# record columns per delivered message (as above), and per CAN message that
+# is stuck in flight its frame, its payload and the run boundary it makes in
+# a port FIFO.  A queued filler costs nothing: back-to-back references to the
+# shared filler frame are one run, however long the backlog gets.
+BYTES_PER_STUCK_MESSAGE = 512
+FIXED_GROWTH = 8 * 1024
+
+
+@pytest.mark.parametrize(
+    "arm,extra",
+    [
+        pytest.param("AVB_jam", "", id="AVB_jam"),
+        pytest.param("Eth_jam", "", id="Eth_jam"),
+        # The fillers share the AVB queue with the CAN frames.
+        pytest.param("AVB_jam", "traffic.jammer.pcp = 3\n", id="AVB_jam_pcp3"),
+        # The backlog forms on the talker's own access port.
+        pytest.param("AVB_jam", "traffic.jammer.link_rate = 50Mbps\n", id="AVB_jam_link_50M"),
+    ],
+)
+def test_overloaded_run_grows_with_messages_not_with_the_backlog(arm, extra):
+    cfg = arm_config(parse_config("sim.seed = 42\nsim.duration = 2s\n" + extra), arm)
+    net = build_network(cfg)
+    net.start()
+    net.sim.run_until(500_000_000)
+    samples = []
+    tracemalloc.start()
+    try:
+        for horizon in (500_000_000, 2_000_000_000):
+            net.sim.run_until(horizon)
+            samples.append(
+                (
+                    tracemalloc.get_traced_memory()[0],
+                    sum(port.queued_frames() for port in net.ports),
+                    len(net.recorder),
+                    net.messages_in_flight(),
+                )
+            )
+    finally:
+        tracemalloc.stop()
+    (bytes0, queued0, records0, stuck0), (bytes1, queued1, records1, stuck1) = samples
+    # the backlog keeps growing: about 100k more fillers queue in the window
+    assert queued1 - queued0 > 50_000
+    allowance = (
+        BYTES_PER_COLUMN_ROW * (records1 - records0)
+        + BYTES_PER_STUCK_MESSAGE * max(0, stuck1 - stuck0)
+        + FIXED_GROWTH
+    )
+    assert bytes1 - bytes0 <= allowance

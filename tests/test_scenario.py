@@ -59,6 +59,37 @@ def test_parse_rate_units():
     assert parse_rate("1Gbps") == 1_000_000_000
 
 
+# Every supported Python accepts the numbers Fraction accepts on 3.11:
+# underscores only between digits, no spaces around "/".
+@pytest.mark.parametrize(
+    "parse,text,expected",
+    [
+        (parse_duration, "1_000us", 1_000_000),
+        (parse_duration, "1_0.5_0us", 10_500),
+        (parse_duration, "1_0/2ns", 5),
+        (parse_duration, "2.5e0_3us", 2_500_000),
+        (parse_rate, "100_000_000", 100_000_000),
+        (parse_rate, "1_0Mbps", 10_000_000),
+        (parse_duration, "1/2us", 500),
+        (parse_duration, "1__0us", None),
+        (parse_duration, "_1us", None),
+        (parse_duration, "1_us", None),
+        (parse_duration, "1_.5us", None),
+        (parse_duration, "1._5us", None),
+        (parse_duration, "1e_3us", None),
+        (parse_duration, "1/_2us", None),
+        (parse_duration, "1 / 2us", None),
+        (parse_rate, "100_Mbps", None),
+    ],
+)
+def test_number_syntax_is_the_same_on_every_python(parse, text, expected):
+    if expected is None:
+        with pytest.raises(ValidationError, match="cannot parse"):
+            parse(text)
+    else:
+        assert parse(text) == expected
+
+
 def test_empty_config_is_the_reference_scenario():
     assert parse_config("") == ScenarioConfig()
 
