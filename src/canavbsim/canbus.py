@@ -40,29 +40,15 @@ class CanMessage(NamedTuple):
 
     ``created_at`` is stamped when the sender requested transmission, so
     end-to-end latency includes CAN queueing and arbitration.  ``source`` is
-    provenance only and excluded from equality and hashing (it is not
-    carried on the packed Ethernet wire format).  Fields are not checked
-    here: ``validate_config`` bounds every id and dlc a sender uses, and
-    ``gateway.decode`` checks what comes off the wire.
+    the sending node and is not carried on the packed Ethernet wire format.
+    Fields are not checked here: ``validate_config`` bounds every id and dlc
+    a sender uses, and ``gateway.decode`` checks what comes off the wire.
     """
 
     can_id: int
     payload: bytes
     created_at: int
     source: str = ""
-
-    def __eq__(self, other):
-        if type(other) is not CanMessage:
-            return NotImplemented
-        return self[:3] == other[:3]
-
-    def __ne__(self, other):
-        if type(other) is not CanMessage:
-            return NotImplemented
-        return self[:3] != other[:3]
-
-    def __hash__(self):
-        return hash(self[:3])
 
 
 def worst_case_stuff_bits(dlc: int) -> int:
@@ -197,8 +183,6 @@ class CanBus:
         if len(q) == self._queued:
             winner = q.popleft()
         else:
-            # A list, not a set: messages with equal content from different
-            # nodes must both contend (equality ignores source).
             winner = arbitrate([q[0] for q in self._queues.values() if q])
             self._queues[winner.source].popleft()
         self._transmitting = winner

@@ -137,43 +137,47 @@ def _parse_bool(text: str) -> bool:
     raise ValidationError(f"cannot parse boolean {text!r}")
 
 
-def _key(key: str, convert: Callable[[str], object], default: object):
-    """A ScenarioConfig field set by the INI ``key`` through ``convert``."""
-    return field(default=default, metadata={"key": key, "convert": convert})
+def _key(key: str, convert: Callable[[str], object], default: object, lo=None, hi=None):
+    """A ScenarioConfig field set by the INI ``key`` through ``convert``, whose
+    value, unless None, must lie in ``lo..hi`` (an omitted bound is open)."""
+    return field(default=default, metadata={"key": key, "convert": convert, "lo": lo, "hi": hi})
 
 
 @dataclass
 class ScenarioConfig:
     """Flat scenario parameters; defaults reproduce the reference scenario.
-    Each field's metadata holds its INI key and converter."""
+    Each field's metadata holds its INI key, converter and bounds."""
 
     seed: int = _key("sim.seed", _parse_int, 42)
-    duration: int = _key("sim.duration", parse_duration, NS_PER_SEC)
-    can_bitrate: int = _key("can.bitrate", parse_rate, 1_000_000)
+    # Every created_at is at most the horizon, and the gateway packs it as u64.
+    duration: int = _key("sim.duration", parse_duration, NS_PER_SEC, 1, 2**64 - 1)
+    can_bitrate: int = _key("can.bitrate", parse_rate, 1_000_000, 1)
     can_stuffing_model: str = _key("can.stuffing_model", str.strip, STUFFING_NONE)
-    can_node_queue_cap: int | None = _key("can.node_queue_cap", _parse_optional_int, None)
-    eth_rate: int = _key("ethernet.rate", parse_rate, 100_000_000)
-    switch_count: int = _key("switches.count", _parse_int, 2)
-    forwarding_latency: int = _key("switches.forwarding_latency", parse_duration, 5_000)
-    idle_slope: int = _key("switches.idle_slope", parse_rate, 20_000_000)
-    avb_queue_cap: int | None = _key("switches.avb_queue_cap", _parse_optional_int, None)
-    be_queue_cap: int | None = _key("switches.be_queue_cap", _parse_optional_int, None)
-    gw_pack_period: int = _key("gateway.pack_period", parse_duration, 500_000)
-    gw_mtu_payload: int = _key("gateway.mtu_payload", _parse_int, 1500)
-    gw_class_for_can: int = _key("gateway.class_for_can", _parse_int, AVB_PCP)
-    gw_queue_cap: int | None = _key("gateway.queue_cap", _parse_optional_int, None)
-    sender_can_id: int = _key("traffic.sender.can_id", _parse_int, 0x100)
-    sender_dlc: int = _key("traffic.sender.dlc", _parse_int, 8)
-    sender_period: int = _key("traffic.sender.period", parse_duration, 3_000_000)
-    sender_start: int = _key("traffic.sender.start", parse_duration, 0)
-    sender_count_limit: int | None = _key("traffic.sender.count_limit", _parse_optional_int, None)
+    can_node_queue_cap: int | None = _key("can.node_queue_cap", _parse_optional_int, None, 0)
+    # At least 2 bits/s, so that an idle slope of at least 1 fits below it.
+    eth_rate: int = _key("ethernet.rate", parse_rate, 100_000_000, 2)
+    switch_count: int = _key("switches.count", _parse_int, 2, 1, MAX_SWITCHES)
+    forwarding_latency: int = _key("switches.forwarding_latency", parse_duration, 5_000, 0)
+    idle_slope: int = _key("switches.idle_slope", parse_rate, 20_000_000, 1)
+    avb_queue_cap: int | None = _key("switches.avb_queue_cap", _parse_optional_int, None, 0)
+    be_queue_cap: int | None = _key("switches.be_queue_cap", _parse_optional_int, None, 0)
+    gw_pack_period: int = _key("gateway.pack_period", parse_duration, 500_000, 1)
+    gw_mtu_payload: int = _key("gateway.mtu_payload", _parse_int, 1500, None, MAX_PAYLOAD)
+    gw_class_for_can: int = _key("gateway.class_for_can", _parse_int, AVB_PCP, 0, 7)
+    gw_queue_cap: int | None = _key("gateway.queue_cap", _parse_optional_int, None, 0)
+    sender_can_id: int = _key("traffic.sender.can_id", _parse_int, 0x100, 0, CAN_MAX_ID)
+    sender_dlc: int = _key("traffic.sender.dlc", _parse_int, 8, 0, CAN_MAX_DLC)
+    sender_period: int = _key("traffic.sender.period", parse_duration, 3_000_000, 1)
+    sender_start: int = _key("traffic.sender.start", parse_duration, 0, 0)
+    sender_count_limit: int | None = _key("traffic.sender.count_limit", _parse_optional_int, None, 0)
     jammer_enabled: bool = _key("traffic.jammer.enabled", _parse_bool, False)
     jammer_frame_total_bytes: int = _key("traffic.jammer.frame_total_bytes", _parse_int, 1470)
-    jammer_period_lo: int = _key("traffic.jammer.period_lo", parse_duration, 1_000)
-    jammer_period_hi: int = _key("traffic.jammer.period_hi", parse_duration, 25_000)
-    jammer_pcp: int = _key("traffic.jammer.pcp", _parse_int, 0)
-    jammer_attach_switch: int = _key("traffic.jammer.attach_switch", _parse_int, 1)
-    jammer_link_rate: int | None = _key("traffic.jammer.link_rate", _parse_optional_rate, None)
+    jammer_period_lo: int = _key("traffic.jammer.period_lo", parse_duration, 1_000, 0)
+    # All-zero gaps would tick forever without the clock advancing.
+    jammer_period_hi: int = _key("traffic.jammer.period_hi", parse_duration, 25_000, 1)
+    jammer_pcp: int = _key("traffic.jammer.pcp", _parse_int, 0, 0, 7)
+    jammer_attach_switch: int = _key("traffic.jammer.attach_switch", _parse_int, 1, 1)
+    jammer_link_rate: int | None = _key("traffic.jammer.link_rate", _parse_optional_rate, None, 2)
     out_dir: str | None = _key("output.dir", str.strip, None)
 
 
@@ -202,62 +206,42 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every value and cross-field invariant; returns cfg for chaining.
 
     This is the one check site: the actors take their values as given.  Each
-    message starts with the INI key of the value it rejects."""
+    message starts with the INI key of the value it rejects.  Every value is
+    checked against its field's bounds first, so the checks that relate two
+    values may rely on those bounds."""
 
     def need(cond: bool, message: str):
         if not cond:
             raise ValidationError(message)
 
-    need(cfg.duration > 0, "sim.duration must be positive")
-    # Every created_at is at most the horizon, and the gateway packs it as u64.
-    need(cfg.duration < 2**64, "sim.duration must be below 2**64 ns")
-    need(cfg.can_bitrate > 0, "can.bitrate must be positive")
+    for f in _FIELDS_BY_KEY.values():
+        value, lo, hi = getattr(cfg, f.name), f.metadata["lo"], f.metadata["hi"]
+        if value is None:
+            continue
+        if lo is not None and value < lo:
+            raise ValidationError(f"{f.metadata['key']} must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise ValidationError(f"{f.metadata['key']} must be at most {hi}, got {value}")
     need(
         cfg.can_stuffing_model in STUFFING_MODELS,
-        f"can.stuffing_model must be one of {STUFFING_MODELS}",
+        f"can.stuffing_model must be one of {STUFFING_MODELS}, got {cfg.can_stuffing_model!r}",
     )
-    need(cfg.eth_rate > 0, "ethernet.rate must be positive")
     need(
-        1 <= cfg.switch_count <= MAX_SWITCHES,
-        f"switches.count must be in 1..{MAX_SWITCHES}",
+        cfg.idle_slope < cfg.eth_rate,
+        f"switches.idle_slope must be below ethernet.rate {cfg.eth_rate}, got {cfg.idle_slope}",
     )
-    need(cfg.forwarding_latency >= 0, "switches.forwarding_latency must be non-negative")
-    need(
-        0 < cfg.idle_slope < cfg.eth_rate,
-        "switches.idle_slope must be positive and below the link rate",
-    )
-    need(cfg.gw_pack_period > 0, f"gateway.pack_period must be positive, got {cfg.gw_pack_period}")
-    need(0 <= cfg.gw_class_for_can <= 7, "gateway.class_for_can must be a pcp in 0..7")
-    need(0 <= cfg.sender_can_id <= CAN_MAX_ID, "traffic.sender.can_id must fit 11 bits")
-    need(
-        0 <= cfg.sender_dlc <= CAN_MAX_DLC,
-        f"traffic.sender.dlc must be in 0..{CAN_MAX_DLC}, got {cfg.sender_dlc}",
-    )
-    # Past the dlc check, so the lower bound is the size of one sender record.
     record = COUNT_SIZE + RECORD_OVERHEAD + cfg.sender_dlc
     need(
-        record <= cfg.gw_mtu_payload <= MAX_PAYLOAD,
-        f"gateway.mtu_payload {cfg.gw_mtu_payload} must be in {record}..{MAX_PAYLOAD}: "
+        record <= cfg.gw_mtu_payload,
+        f"gateway.mtu_payload must be at least {record}, got {cfg.gw_mtu_payload}: "
         f"one record of traffic.sender.dlc {cfg.sender_dlc} takes "
         f"{COUNT_SIZE} + {RECORD_OVERHEAD} + dlc bytes",
-    )
-    need(cfg.sender_period > 0, f"traffic.sender.period must be positive, got {cfg.sender_period}")
-    need(cfg.sender_start >= 0, f"traffic.sender.start must be non-negative, got {cfg.sender_start}")
-    need(
-        cfg.jammer_period_lo >= 0,
-        f"traffic.jammer.period_lo must be non-negative, got {cfg.jammer_period_lo}",
-    )
-    # All-zero gaps would tick forever without the clock advancing.
-    need(
-        cfg.jammer_period_hi >= 1,
-        f"traffic.jammer.period_hi must be at least 1 ns, got {cfg.jammer_period_hi}",
     )
     need(
         cfg.jammer_period_lo <= cfg.jammer_period_hi,
         f"traffic.jammer.period_lo {cfg.jammer_period_lo} exceeds "
         f"traffic.jammer.period_hi {cfg.jammer_period_hi}",
     )
-    need(0 <= cfg.jammer_pcp <= 7, "traffic.jammer.pcp must be a pcp in 0..7")
     payload = filler_payload_len(cfg.jammer_frame_total_bytes, cfg.jammer_pcp)
     need(
         MIN_PAYLOAD <= payload <= MAX_PAYLOAD,
@@ -265,17 +249,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         f"{payload} at pcp {cfg.jammer_pcp}, outside {MIN_PAYLOAD}..{MAX_PAYLOAD}",
     )
     need(
-        1 <= cfg.jammer_attach_switch <= cfg.switch_count,
-        "traffic.jammer.attach_switch must name an existing switch",
+        cfg.jammer_attach_switch <= cfg.switch_count,
+        f"traffic.jammer.attach_switch must be at most switches.count {cfg.switch_count}, "
+        f"got {cfg.jammer_attach_switch}",
     )
-    need(
-        cfg.jammer_link_rate is None or cfg.jammer_link_rate >= 2,
-        "traffic.jammer.link_rate must be at least 2 bits/s",
-    )
-    for key in ("can.node_queue_cap", "switches.avb_queue_cap", "switches.be_queue_cap",
-                "gateway.queue_cap", "traffic.sender.count_limit"):
-        value = getattr(cfg, _FIELDS_BY_KEY[key].name)
-        need(value is None or value >= 0, f"{key} must be non-negative or none")
     return cfg
 
 
@@ -318,7 +295,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors put first.
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigReadError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -394,8 +372,8 @@ class Network:
                     sim,
                     f"port:talker->{attach.name}",
                     rate=cfg.jammer_link_rate,
-                    # The talker only emits best-effort frames; clamp the slope
-                    # so a slow access link still has a valid shaper config.
+                    # The idle slope must stay below this link's rate, or the
+                    # send slope is not negative; link_rate is at least 2.
                     idle_slope=min(cfg.idle_slope, cfg.jammer_link_rate - 1),
                     peer=attach,
                 )).enqueue

@@ -17,17 +17,20 @@ from canavbsim.ethernet import Switch
 from canavbsim.metrics import export_csv, read_csv
 from canavbsim.scenario import (
     ARMS,
+    ConfigReadError,
     ParseError,
     ScenarioConfig,
     ValidationError,
     arm_config,
     arm_name,
     build_network,
+    load_config,
     parse_config,
     parse_duration,
     parse_rate,
     run_experiment_suite,
     run_scenario,
+    validate_config,
 )
 
 
@@ -183,6 +186,28 @@ def test_actor_value_rejected_naming_its_key(key, value, other):
 def test_actor_value_at_its_bound_accepted(key, value, other):
     # gateway.mtu_payload = 23 and period_hi = 1ns are checked above.
     parse_config(f"{key} = {value}\n{other}\n")
+
+
+BOUNDED_FIELDS = [
+    f for f in dataclasses.fields(ScenarioConfig)
+    if f.metadata["lo"] is not None or f.metadata["hi"] is not None
+]
+
+
+@pytest.mark.parametrize("f", BOUNDED_FIELDS, ids=lambda f: f.metadata["key"])
+def test_every_bounded_value_is_checked_at_both_ends(f):
+    # The lowest idle slope and period_lo let ethernet.rate and period_hi sit
+    # at their lower bounds; at every other single bound the rest of the
+    # default config passes every check.
+    base = ScenarioConfig(idle_slope=1, jammer_period_lo=0)
+    key = f.metadata["key"]
+    for bound, outside, word in ((f.metadata["lo"], -1, "least"), (f.metadata["hi"], 1, "most")):
+        if bound is None:
+            continue
+        validate_config(dataclasses.replace(base, **{f.name: bound}))
+        bad = bound + outside
+        with pytest.raises(ValidationError, match=f"^{re.escape(key)} must be at {word} {bound}, got {bad}$"):
+            validate_config(dataclasses.replace(base, **{f.name: bad}))
 
 
 def test_unknown_key_rejected_with_line_number():
@@ -651,6 +676,18 @@ def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys):
     code = cli_main(["run", str(path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ConfigReadError:")
+
+
+def test_config_with_utf8_byte_order_mark_loads_like_one_without(tmp_path):
+    text = "[sim]\nseed = 7\n[traffic.jammer]\nenabled = true\n"
+    plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(marked) == load_config(plain) == parse_config(text)
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes("output.dir = caf\xe9\n".encode("latin-1"))
+    with pytest.raises(ConfigReadError):
+        load_config(latin1)
 
 
 def test_cli_out_naming_a_file_is_a_runtime_error(tmp_path, capsys):

@@ -7,7 +7,8 @@ Run from the repository root.  Builds one scenario from the reference
 config with the given overrides (``--arm`` picks a Fig. 3 arm; without it
 the config's own arm runs), then runs it under ``sys.settrace`` with opcode
 tracing on in every frame.  Prints one JSON object: events dispatched,
-bytecodes and Python calls, in total and per event.
+bytecodes and Python calls, in total and per event.  Exits 1 if events
+ran but no bytecode was counted, as when opcode tracing does not work.
 
 Building the network is not counted.  On one interpreter version the counts
 are deterministic, so they compare the cost of two versions of the code
@@ -44,6 +45,9 @@ def count(net) -> dict[str, int]:
         frame.f_trace_opcodes = True
         return on_opcode
 
+    # Python 3.12 fires opcode events only if some frame asked for them
+    # before sys.settrace; without this line it counts no bytecode at all.
+    sys._getframe().f_trace_opcodes = True
     sys.settrace(on_call)
     try:
         stats = net.run()
@@ -78,6 +82,9 @@ def main(argv: list[str] | None = None) -> int:
         "bytecodes_per_event": round(counts["bytecodes"] / events, 2),
         "calls_per_event": round(counts["calls"] / events, 3),
     }))
+    if events and not counts["bytecodes"]:
+        print("error: events ran but no bytecode was counted", file=sys.stderr)
+        return 1
     return 0
 
 
