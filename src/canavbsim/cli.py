@@ -49,16 +49,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args: argparse.Namespace) -> ScenarioConfig:
     """The config with the flags' overrides, validated before any output is touched."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
+    overrides = {}
     if args.seed is not None:
-        cfg.seed = args.seed
+        overrides["seed"] = args.seed
     if args.duration is not None:
         try:
-            cfg.duration = parse_duration(args.duration)
+            overrides["duration"] = parse_duration(args.duration)
         except ValidationError as exc:
             raise ValidationError(f"--duration: {exc}") from None
     if args.out is not None:
-        cfg.out_dir = args.out
-    return validate_config(cfg)
+        overrides["out_dir"] = args.out
+    return validate_config(cfg._replace(**overrides))
 
 
 class OutputDirError(SimulationError):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple
 
@@ -49,8 +48,7 @@ class Event(NamedTuple):
     kind: str
 
 
-@dataclass(slots=True)
-class RunStats:
+class RunStats(NamedTuple):
     """Result of a run_until call.  ``events_dispatched`` counts every event
     the simulator has dispatched, over all calls."""
 

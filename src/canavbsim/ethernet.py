@@ -13,9 +13,8 @@ Dividing a credit deficit by idle_slope therefore yields whole nanoseconds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .core import Event, SimulationError, Simulator
 
@@ -58,15 +57,15 @@ def eth_wire_time(payload_len: int, tagged: bool, rate: int) -> int:
     return -(-wire_bits(payload_len, tagged) * 1_000_000_000 // rate)
 
 
-@dataclass(eq=False, frozen=True, slots=True)
-class EthFrame:
+class EthFrame(NamedTuple):
     """A tagged Ethernet frame; payload may be a packed-CAN byte string.
 
     ``payload_len`` is the padded on-wire payload size; ``payload`` holds
     only the meaningful bytes (padding never reaches the decoder, as on a
     real MAC where the length field strips it).  Frames are immutable, so
     one object may sit in several queues at once: the jamming talker sends
-    the same filler frame on every tick.  Fields are not checked here:
+    the same filler frame on every tick.  Frames compare by value, but a
+    ``RunFifo`` tells them apart by identity.  Fields are not checked here:
     ``validate_config`` bounds the filler's pcp and size and the gateway's
     MTU, and the gateway never packs past that MTU.
     """

@@ -7,13 +7,12 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, filterfalse, islice, repeat
 from math import ceil
 from operator import lt, rshift, sub
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .core import SimulationError
 
@@ -29,9 +28,11 @@ class MetricsError(SimulationError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class LatencyRecord:
-    """One delivered CAN message; latency is delivered_at - created_at exactly."""
+class LatencyRecord(NamedTuple):
+    """One delivered CAN message; latency is delivered_at - created_at exactly.
+
+    Not checked here: ``LatencyRecorder.add`` and ``read_csv``, the two ways
+    in from outside the recorder, reject a delivery before its creation."""
 
     seq: int
     can_id: int
@@ -39,17 +40,12 @@ class LatencyRecord:
     delivered_at: int
     arm: str = ""
 
-    def __post_init__(self):
-        if self.delivered_at < self.created_at:
-            raise _precedes(self.created_at, self.delivered_at)
-
     @property
     def latency(self) -> int:
         return self.delivered_at - self.created_at
 
 
-@dataclass
-class RunSummary:
+class RunSummary(NamedTuple):
     """Latency statistics over one run; all times in ns, stats None when empty."""
 
     count: int
@@ -247,14 +243,13 @@ def read_csv(path: str | Path) -> list[LatencyRecord]:
                 raise MetricsError(f"line {line}: {len(row)} fields, expected {len(CSV_HEADER)}")
             try:
                 seq, can_id, created, delivered, latency = map(int, row[:-1])
-                rec = LatencyRecord(seq, can_id, created, delivered, row[-1])
             except ValueError:
                 raise MetricsError(f"line {line}: non-integer field in {row!r}") from None
-            except MetricsError as exc:
-                raise MetricsError(f"line {line}: {exc}") from None
-            if rec.latency != latency:
+            if delivered < created:
+                raise MetricsError(f"line {line}: {_precedes(created, delivered)}")
+            if delivered - created != latency:
                 raise MetricsError(f"line {line}: latency column mismatch on row {row!r}")
-            records.append(rec)
+            records.append(LatencyRecord(seq, can_id, created, delivered, row[-1]))
     return records
 
 

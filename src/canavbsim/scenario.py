@@ -13,13 +13,12 @@ backbone to the listener, and a disabled jamming talker on switch 1.
 
 from __future__ import annotations
 
-import dataclasses
 import re
+from collections import namedtuple
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from .canbus import STUFFING_MODELS, STUFFING_NONE, CAN_MAX_DLC, CAN_MAX_ID, CanBus
 from .core import NS_PER_SEC, RunStats, SimulationError, Simulator, stream_rng
@@ -137,52 +136,65 @@ def _parse_bool(text: str) -> bool:
     raise ValidationError(f"cannot parse boolean {text!r}")
 
 
-def _key(key: str, convert: Callable[[str], object], default: object, lo=None, hi=None):
-    """A ScenarioConfig field set by the INI ``key`` through ``convert``, whose
-    value, unless None, must lie in ``lo..hi`` (an omitted bound is open)."""
-    return field(default=default, metadata={"key": key, "convert": convert, "lo": lo, "hi": hi})
+class ConfigKey(NamedTuple):
+    """One INI key of ScenarioConfig: the field it sets, through ``convert``,
+    and the field's default.  A value other than None must lie in
+    ``lo..hi``; an omitted bound is open."""
+
+    field: str
+    key: str
+    convert: Callable[[str], object]
+    default: object
+    lo: int | None = None
+    hi: int | None = None
 
 
-@dataclass
-class ScenarioConfig:
-    """Flat scenario parameters; defaults reproduce the reference scenario.
-    Each field's metadata holds its INI key, converter and bounds."""
-
-    seed: int = _key("sim.seed", _parse_int, 42)
+# The config schema: one row per INI key, in ScenarioConfig's field order.
+CONFIG_KEYS = (
+    ConfigKey("seed", "sim.seed", _parse_int, 42),
     # Every created_at is at most the horizon, and the gateway packs it as u64.
-    duration: int = _key("sim.duration", parse_duration, NS_PER_SEC, 1, 2**64 - 1)
-    can_bitrate: int = _key("can.bitrate", parse_rate, 1_000_000, 1)
-    can_stuffing_model: str = _key("can.stuffing_model", str.strip, STUFFING_NONE)
-    can_node_queue_cap: int | None = _key("can.node_queue_cap", _parse_optional_int, None, 0)
+    ConfigKey("duration", "sim.duration", parse_duration, NS_PER_SEC, 1, 2**64 - 1),
+    ConfigKey("can_bitrate", "can.bitrate", parse_rate, 1_000_000, 1),
+    ConfigKey("can_stuffing_model", "can.stuffing_model", str.strip, STUFFING_NONE),
+    ConfigKey("can_node_queue_cap", "can.node_queue_cap", _parse_optional_int, None, 0),
     # At least 2 bits/s, so that an idle slope of at least 1 fits below it.
-    eth_rate: int = _key("ethernet.rate", parse_rate, 100_000_000, 2)
-    switch_count: int = _key("switches.count", _parse_int, 2, 1, MAX_SWITCHES)
-    forwarding_latency: int = _key("switches.forwarding_latency", parse_duration, 5_000, 0)
-    idle_slope: int = _key("switches.idle_slope", parse_rate, 20_000_000, 1)
-    avb_queue_cap: int | None = _key("switches.avb_queue_cap", _parse_optional_int, None, 0)
-    be_queue_cap: int | None = _key("switches.be_queue_cap", _parse_optional_int, None, 0)
-    gw_pack_period: int = _key("gateway.pack_period", parse_duration, 500_000, 1)
-    gw_mtu_payload: int = _key("gateway.mtu_payload", _parse_int, 1500, None, MAX_PAYLOAD)
-    gw_class_for_can: int = _key("gateway.class_for_can", _parse_int, AVB_PCP, 0, 7)
-    gw_queue_cap: int | None = _key("gateway.queue_cap", _parse_optional_int, None, 0)
-    sender_can_id: int = _key("traffic.sender.can_id", _parse_int, 0x100, 0, CAN_MAX_ID)
-    sender_dlc: int = _key("traffic.sender.dlc", _parse_int, 8, 0, CAN_MAX_DLC)
-    sender_period: int = _key("traffic.sender.period", parse_duration, 3_000_000, 1)
-    sender_start: int = _key("traffic.sender.start", parse_duration, 0, 0)
-    sender_count_limit: int | None = _key("traffic.sender.count_limit", _parse_optional_int, None, 0)
-    jammer_enabled: bool = _key("traffic.jammer.enabled", _parse_bool, False)
-    jammer_frame_total_bytes: int = _key("traffic.jammer.frame_total_bytes", _parse_int, 1470)
-    jammer_period_lo: int = _key("traffic.jammer.period_lo", parse_duration, 1_000, 0)
+    ConfigKey("eth_rate", "ethernet.rate", parse_rate, 100_000_000, 2),
+    ConfigKey("switch_count", "switches.count", _parse_int, 2, 1, MAX_SWITCHES),
+    ConfigKey("forwarding_latency", "switches.forwarding_latency", parse_duration, 5_000, 0),
+    ConfigKey("idle_slope", "switches.idle_slope", parse_rate, 20_000_000, 1),
+    ConfigKey("avb_queue_cap", "switches.avb_queue_cap", _parse_optional_int, None, 0),
+    ConfigKey("be_queue_cap", "switches.be_queue_cap", _parse_optional_int, None, 0),
+    ConfigKey("gw_pack_period", "gateway.pack_period", parse_duration, 500_000, 1),
+    ConfigKey("gw_mtu_payload", "gateway.mtu_payload", _parse_int, 1500, None, MAX_PAYLOAD),
+    ConfigKey("gw_class_for_can", "gateway.class_for_can", _parse_int, AVB_PCP, 0, 7),
+    ConfigKey("gw_queue_cap", "gateway.queue_cap", _parse_optional_int, None, 0),
+    ConfigKey("sender_can_id", "traffic.sender.can_id", _parse_int, 0x100, 0, CAN_MAX_ID),
+    ConfigKey("sender_dlc", "traffic.sender.dlc", _parse_int, 8, 0, CAN_MAX_DLC),
+    ConfigKey("sender_period", "traffic.sender.period", parse_duration, 3_000_000, 1),
+    ConfigKey("sender_start", "traffic.sender.start", parse_duration, 0, 0),
+    ConfigKey("sender_count_limit", "traffic.sender.count_limit", _parse_optional_int, None, 0),
+    ConfigKey("jammer_enabled", "traffic.jammer.enabled", _parse_bool, False),
+    ConfigKey("jammer_frame_total_bytes", "traffic.jammer.frame_total_bytes", _parse_int, 1470),
+    ConfigKey("jammer_period_lo", "traffic.jammer.period_lo", parse_duration, 1_000, 0),
     # All-zero gaps would tick forever without the clock advancing.
-    jammer_period_hi: int = _key("traffic.jammer.period_hi", parse_duration, 25_000, 1)
-    jammer_pcp: int = _key("traffic.jammer.pcp", _parse_int, 0, 0, 7)
-    jammer_attach_switch: int = _key("traffic.jammer.attach_switch", _parse_int, 1, 1)
-    jammer_link_rate: int | None = _key("traffic.jammer.link_rate", _parse_optional_rate, None, 2)
-    out_dir: str | None = _key("output.dir", str.strip, None)
+    ConfigKey("jammer_period_hi", "traffic.jammer.period_hi", parse_duration, 25_000, 1),
+    ConfigKey("jammer_pcp", "traffic.jammer.pcp", _parse_int, 0, 0, 7),
+    ConfigKey("jammer_attach_switch", "traffic.jammer.attach_switch", _parse_int, 1, 1),
+    ConfigKey("jammer_link_rate", "traffic.jammer.link_rate", _parse_optional_rate, None, 2),
+    ConfigKey("out_dir", "output.dir", str.strip, None),
+)
 
+ScenarioConfig = namedtuple(
+    "ScenarioConfig",
+    [spec.field for spec in CONFIG_KEYS],
+    defaults=[spec.default for spec in CONFIG_KEYS],
+)
+ScenarioConfig.__doc__ = """Flat, immutable scenario parameters, one field per
+row of CONFIG_KEYS; the defaults reproduce the reference scenario.  Override
+values with ``cfg._replace(...)`` and check the result with validate_config."""
 
-# INI key -> its ScenarioConfig field; "unknown key" means absent here.
-_FIELDS_BY_KEY = {f.metadata["key"]: f for f in dataclasses.fields(ScenarioConfig)}
+# INI key -> its row; "unknown key" means absent here.
+_ROWS_BY_KEY = {spec.key: spec for spec in CONFIG_KEYS}
 
 
 def arm_name(cfg: ScenarioConfig) -> str:
@@ -195,8 +207,7 @@ def arm_config(base: ScenarioConfig, arm: str) -> ScenarioConfig:
     if arm not in ARMS:
         raise ValidationError(f"unknown arm {arm!r}; expected one of {ARMS}")
     kind, load = arm.split("_")
-    return dataclasses.replace(
-        base,
+    return base._replace(
         gw_class_for_can=AVB_PCP if kind == "AVB" else 0,
         jammer_enabled=(load == "jam"),
     )
@@ -207,21 +218,20 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
 
     This is the one check site: the actors take their values as given.  Each
     message starts with the INI key of the value it rejects.  Every value is
-    checked against its field's bounds first, so the checks that relate two
-    values may rely on those bounds."""
+    checked against its row's bounds in CONFIG_KEYS first, so the checks
+    that relate two values may rely on those bounds."""
 
     def need(cond: bool, message: str):
         if not cond:
             raise ValidationError(message)
 
-    for f in _FIELDS_BY_KEY.values():
-        value, lo, hi = getattr(cfg, f.name), f.metadata["lo"], f.metadata["hi"]
+    for spec, value in zip(CONFIG_KEYS, cfg):
         if value is None:
             continue
-        if lo is not None and value < lo:
-            raise ValidationError(f"{f.metadata['key']} must be at least {lo}, got {value}")
-        if hi is not None and value > hi:
-            raise ValidationError(f"{f.metadata['key']} must be at most {hi}, got {value}")
+        if spec.lo is not None and value < spec.lo:
+            raise ValidationError(f"{spec.key} must be at least {spec.lo}, got {value}")
+        if spec.hi is not None and value > spec.hi:
+            raise ValidationError(f"{spec.key} must be at most {spec.hi}, got {value}")
     need(
         cfg.can_stuffing_model in STUFFING_MODELS,
         f"can.stuffing_model must be one of {STUFFING_MODELS}, got {cfg.can_stuffing_model!r}",
@@ -258,7 +268,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse sectioned key=value text into a validated ScenarioConfig."""
-    cfg = ScenarioConfig()
+    values: dict[str, object] = {}  # field -> converted value
     seen: dict[str, int] = {}
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -278,7 +288,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if not key:
             raise ParseError(lineno, "missing key before '='")
         full_key = f"{section}.{key}" if section else key
-        spec = _FIELDS_BY_KEY.get(full_key)
+        spec = _ROWS_BY_KEY.get(full_key)
         if spec is None:
             raise ValidationError(f"line {lineno}: unknown config key {full_key!r}")
         if full_key in seen:
@@ -287,10 +297,10 @@ def parse_config(text: str) -> ScenarioConfig:
             )
         seen[full_key] = lineno
         try:
-            setattr(cfg, spec.name, spec.metadata["convert"](value))
+            values[spec.field] = spec.convert(value)
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {full_key}: {exc}") from None
-    return validate_config(cfg)
+    return validate_config(ScenarioConfig(**values))
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -465,8 +475,7 @@ def build_network(cfg: ScenarioConfig) -> Network:
     return Network(validate_config(cfg))
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     arm: str
     records: LatencyRecorder
     summary: RunSummary
@@ -522,8 +531,7 @@ def run_scenario(
     return ScenarioResult(net.recorder.arm, net.recorder, net.recorder.summarize(), stats, net)
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     results: dict[str, ScenarioResult]
     csv_paths: dict[str, Path]
     table: str

@@ -1,12 +1,11 @@
 """Fuzz the config parser and validator: any text yields a ScenarioConfig or a
 ConfigError, and any config validate_config accepts builds and runs."""
 
-import dataclasses
-
 from hypothesis import given, settings, strategies as st
 
 from canavbsim.canbus import STUFFING_MODELS
 from canavbsim.scenario import (
+    CONFIG_KEYS,
     ConfigError,
     ScenarioConfig,
     ValidationError,
@@ -15,7 +14,7 @@ from canavbsim.scenario import (
     validate_config,
 )
 
-KEYS = [f.metadata["key"] for f in dataclasses.fields(ScenarioConfig)]
+KEYS = [spec.key for spec in CONFIG_KEYS]
 
 values = st.one_of(
     st.integers(min_value=-(2**70), max_value=2**70).map(str),
@@ -79,7 +78,7 @@ actor_overrides = st.sets(st.sampled_from(sorted(ACTOR_FIELDS)), max_size=4).fla
 @settings(max_examples=100, deadline=None)
 @given(st.booleans(), actor_overrides)
 def test_validate_config_is_the_one_check_on_actor_values(jammer_enabled, overrides):
-    cfg = dataclasses.replace(ScenarioConfig(), jammer_enabled=jammer_enabled, **overrides)
+    cfg = ScenarioConfig()._replace(jammer_enabled=jammer_enabled, **overrides)
     try:
         validate_config(cfg)
     except ValidationError as exc:

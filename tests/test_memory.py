@@ -8,8 +8,8 @@ from canavbsim.metrics import LatencyRecorder
 from canavbsim.scenario import ScenarioConfig, arm_config, build_network, parse_config, run_scenario
 
 # What a default AVB_jam run may legitimately keep growing: the best-effort
-# backlog and one record per delivered message (256 B covers even a frozen
-# LatencyRecord object with its two timestamps and a list slot).  A port FIFO
+# backlog and one record per delivered message (256 B covers even a
+# LatencyRecord tuple with its two timestamps and a list slot).  A port FIFO
 # holds each run of repeats of one frame as one [frame, count] list, and a
 # jammed backlog is long runs of the one filler, so its frames cost far less
 # than the 16 B each allowed here.

@@ -1,10 +1,9 @@
 """Metamorphic relations: how a change to the config must move the outputs,
 checked without a second model of the network."""
 
-import dataclasses
-
 import pytest
 
+from canavbsim.metrics import export_csv, read_csv
 from canavbsim.scenario import ScenarioConfig, arm_config, run_scenario
 
 # Wire time at 100 Mbps of the one frame a nature arm sends per CAN message:
@@ -21,7 +20,7 @@ def latency_shifts(cfg: ScenarioConfig) -> tuple[set[int], int]:
         return {r.seq: r.latency for r in run_scenario(c).records}
 
     before = latencies(cfg)
-    after = latencies(dataclasses.replace(cfg, switch_count=cfg.switch_count + 1))
+    after = latencies(cfg._replace(switch_count=cfg.switch_count + 1))
     assert after.keys() == before.keys()
     return {after[seq] - before[seq] for seq in before}, len(before)
 
@@ -42,3 +41,27 @@ def test_one_more_switch_adds_forwarding_plus_one_frame_time(arm, seed, forwardi
     shifts, compared = latency_shifts(arm_config(base, arm))
     assert compared > 30
     assert shifts == {forwarding_latency + WIRE_NS[arm]}
+
+
+# The closed form of a nature arm: 114 us of CAN frame, 386 us of wait for
+# the next pack tick, three frames of WIRE_NS on the way to the listener and
+# two 5 us forwardings.
+NATURE_LATENCY_NS = {"AVB_nature": 531_120, "Eth_nature": 530_160}
+
+
+@pytest.mark.parametrize("arm", sorted(WIRE_NS))
+def test_nature_arm_ignores_the_seed(arm, tmp_path):
+    # With the jammer off nothing draws from the seeded streams, so the
+    # exported latency file is the same bytes at every seed.
+    exported = {}
+    for seed in (0, 7, 42):
+        cfg = arm_config(ScenarioConfig(seed=seed, duration=100_000_000), arm)
+        path = tmp_path / f"{seed}.csv"
+        export_csv(run_scenario(cfg).records, path)
+        exported[seed] = path.read_bytes()
+    assert exported[0] == exported[7] == exported[42]
+    # Hand-checked: a message every 3 ms from t = 0 gives 34 in 100 ms, each
+    # at the closed-form latency.
+    records = read_csv(tmp_path / "0.csv")
+    assert [r.created_at for r in records] == [3_000_000 * i for i in range(34)]
+    assert {r.latency for r in records} == {NATURE_LATENCY_NS[arm]}

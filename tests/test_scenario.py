@@ -1,6 +1,5 @@
 """Scenario tests: config parsing, arm selection, topology runs, CLI surface."""
 
-import dataclasses
 import importlib.util
 import json
 import re
@@ -17,6 +16,7 @@ from canavbsim.ethernet import Switch
 from canavbsim.metrics import export_csv, read_csv
 from canavbsim.scenario import (
     ARMS,
+    CONFIG_KEYS,
     ConfigReadError,
     ParseError,
     ScenarioConfig,
@@ -188,26 +188,23 @@ def test_actor_value_at_its_bound_accepted(key, value, other):
     parse_config(f"{key} = {value}\n{other}\n")
 
 
-BOUNDED_FIELDS = [
-    f for f in dataclasses.fields(ScenarioConfig)
-    if f.metadata["lo"] is not None or f.metadata["hi"] is not None
-]
+BOUNDED_KEYS = [spec for spec in CONFIG_KEYS if spec.lo is not None or spec.hi is not None]
 
 
-@pytest.mark.parametrize("f", BOUNDED_FIELDS, ids=lambda f: f.metadata["key"])
-def test_every_bounded_value_is_checked_at_both_ends(f):
+@pytest.mark.parametrize("spec", BOUNDED_KEYS, ids=lambda spec: spec.key)
+def test_every_bounded_value_is_checked_at_both_ends(spec):
     # The lowest idle slope and period_lo let ethernet.rate and period_hi sit
     # at their lower bounds; at every other single bound the rest of the
     # default config passes every check.
     base = ScenarioConfig(idle_slope=1, jammer_period_lo=0)
-    key = f.metadata["key"]
-    for bound, outside, word in ((f.metadata["lo"], -1, "least"), (f.metadata["hi"], 1, "most")):
+    key = spec.key
+    for bound, outside, word in ((spec.lo, -1, "least"), (spec.hi, 1, "most")):
         if bound is None:
             continue
-        validate_config(dataclasses.replace(base, **{f.name: bound}))
+        validate_config(base._replace(**{spec.field: bound}))
         bad = bound + outside
         with pytest.raises(ValidationError, match=f"^{re.escape(key)} must be at {word} {bound}, got {bad}$"):
-            validate_config(dataclasses.replace(base, **{f.name: bad}))
+            validate_config(base._replace(**{spec.field: bad}))
 
 
 def test_unknown_key_rejected_with_line_number():
@@ -274,8 +271,8 @@ def test_arm_configs_differ_only_in_two_knobs():
     for arm in ARMS:
         cfg = arm_config(base, arm)
         assert arm_name(cfg) == arm
-        neutral = dataclasses.replace(
-            cfg, gw_class_for_can=base.gw_class_for_can,
+        neutral = cfg._replace(
+            gw_class_for_can=base.gw_class_for_can,
             jammer_enabled=base.jammer_enabled,
         )
         assert neutral == base
