@@ -11,9 +11,7 @@ from collections import deque
 from typing import Callable, NamedTuple
 
 from .core import Event, SimulationError, Simulator
-
-CAN_MAX_ID = 0x7FF
-CAN_MAX_DLC = 8
+from .wire import STUFFING_NONE, STUFFING_WORST_CASE
 
 # Standard-format data frame: SOF + 11-bit ID + RTR + control + CRC + ACK + EOF
 # = 47 bits around the payload, plus the 3-bit interframe space.
@@ -21,10 +19,6 @@ FRAME_OVERHEAD_BITS = 47
 INTERFRAME_BITS = 3
 # Bits subject to stuffing (SOF through CRC sequence).
 STUFFABLE_OVERHEAD_BITS = 34
-
-STUFFING_NONE = "none"
-STUFFING_WORST_CASE = "worst_case"
-STUFFING_MODELS = (STUFFING_NONE, STUFFING_WORST_CASE)
 
 
 class CanError(SimulationError):

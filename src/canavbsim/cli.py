@@ -7,18 +7,17 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .core import SimulationError
-from .metrics import export_csv, format_summary
-from .scenario import (
+from .config import (
     ConfigError,
     ScenarioConfig,
     ValidationError,
     load_config,
     parse_duration,
-    run_experiment_suite,
-    run_scenario,
     validate_config,
 )
+from .core import SimulationError
+from .metrics import export_csv, format_summary
+from .scenario import run_experiment_suite, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:

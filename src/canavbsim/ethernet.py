@@ -17,23 +17,15 @@ from itertools import repeat
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .core import Event, SimulationError, Simulator
-
-PREAMBLE_BYTES = 8  # preamble + start-of-frame delimiter
-HEADER_BYTES = 14
-VLAN_TAG_BYTES = 4
-FCS_BYTES = 4
-IFG_BYTES = 12
-MIN_PAYLOAD = 46
-MAX_PAYLOAD = 1500
-
-# Priority code point mapped to the shaped queue; everything else is
-# best-effort.  One AVB class only.
-AVB_PCP = 3
-
-# EtherType-style discriminators so the listener can tell packed-CAN frames
-# from background traffic regardless of priority class.
-ETHERTYPE_CAN_TUNNEL = 0x88B5
-ETHERTYPE_FILLER = 0x0800
+from .wire import (
+    AVB_PCP,
+    ETHERTYPE_FILLER,
+    FCS_BYTES,
+    HEADER_BYTES,
+    IFG_BYTES,
+    PREAMBLE_BYTES,
+    VLAN_TAG_BYTES,
+)
 
 
 class EthError(SimulationError):

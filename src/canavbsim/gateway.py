@@ -1,37 +1,22 @@
-"""CAN to Ethernet-AVB gateway: FIFO queueing, periodic packing, classification.
-
-Wire format of a packed payload (all integers little-endian):
-
-    offset 0: record_count  u16
-    then per record:
-        can_id      u32  (11 significant bits)
-        dlc         u8
-        created_at  u64  (ns)
-        data        dlc bytes
-
-A record is 13 + dlc bytes; a payload of n records is 2 + sum(13 + dlc_i)
-bytes and must fit the configured MTU payload.  Records appear in CAN
-arrival (FIFO) order.
-"""
+"""CAN to Ethernet-AVB gateway: FIFO queueing, periodic packing, classification."""
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 
-from .canbus import CAN_MAX_DLC, CAN_MAX_ID, CanMessage
+from .canbus import CanMessage
 from .core import Event, SimulationError, Simulator
-from .ethernet import (
+from .ethernet import EgressPort, EthFrame
+from .wire import (
+    CAN_MAX_DLC,
+    CAN_MAX_ID,
+    COUNT_SIZE,
+    COUNT_STRUCT,
     ETHERTYPE_CAN_TUNNEL,
     MIN_PAYLOAD,
-    EgressPort,
-    EthFrame,
+    RECORD_OVERHEAD,
+    RECORD_STRUCT,
 )
-
-_COUNT = struct.Struct("<H")
-_RECORD = struct.Struct("<IBQ")
-RECORD_OVERHEAD = _RECORD.size  # 13 bytes before the data field
-COUNT_SIZE = _COUNT.size
 
 
 class GatewayError(SimulationError):
@@ -43,10 +28,10 @@ class MalformedPayload(GatewayError):
 
 
 def pack(messages: list[CanMessage]) -> bytes:
-    """Serialize messages into one payload.  The caller keeps it within the
-    MTU payload, and so within the 16-bit count field."""
-    record = _RECORD.pack
-    parts = [_COUNT.pack(len(messages))]
+    """Serialize messages into one payload in the ``wire`` format.  The caller
+    keeps it within the MTU payload, and so within the 16-bit count field."""
+    record = RECORD_STRUCT.pack
+    parts = [COUNT_STRUCT.pack(len(messages))]
     for m in messages:
         data = m.payload
         parts += (record(m.can_id, len(data), m.created_at), data)
@@ -55,7 +40,7 @@ def pack(messages: list[CanMessage]) -> bytes:
 
 def record_count(payload: bytes) -> int:
     """The record_count field of a packed payload."""
-    return _COUNT.unpack_from(payload)[0]
+    return COUNT_STRUCT.unpack_from(payload)[0]
 
 
 def decode(payload: bytes) -> list[tuple[int, bytes, int]]:
@@ -65,7 +50,7 @@ def decode(payload: bytes) -> list[tuple[int, bytes, int]]:
     if size < COUNT_SIZE:
         raise MalformedPayload("payload shorter than the record count field")
     count = record_count(payload)
-    record = _RECORD.unpack_from
+    record = RECORD_STRUCT.unpack_from
     offset = COUNT_SIZE
     records = []
     for i in range(count):

@@ -7,13 +7,12 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from fractions import Fraction
 from itertools import chain, filterfalse, islice, repeat
-from math import ceil
 from operator import lt, rshift, sub
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
+from .config import exact_ratio
 from .core import SimulationError
 
 # Rows formatted per write.  Below the cyclic collector's generation-0
@@ -63,7 +62,8 @@ def nearest_rank(pct: float, n: int) -> int:
     if not 0 < pct <= 100:
         raise MetricsError(f"percentile must be in (0, 100], got {pct}")
     # Exact rank: pct as written (50.25, not its binary float), no truncation.
-    return ceil(Fraction(str(pct)) * n / 100)
+    num, den = exact_ratio(str(pct))
+    return -(-num * n // (100 * den))
 
 
 def percentile_nearest_rank(sorted_values: Sequence[int], pct: float) -> int:
@@ -213,7 +213,7 @@ def export_csv(recorder: LatencyRecorder, path: str | Path) -> None:
 
     Rows go out ROWS_PER_WRITE at a time through write_rows, byte for byte
     what ``csv.writer`` writes: every field but the last is an integer, and
-    the arm label comes from ``scenario.arm_name``, whose names hold no
+    the arm label comes from ``config.arm_name``, whose names hold no
     comma, quote or line break, so no field needs quoting."""
     columns = recorder.columns
     order = _creation_order(recorder.created_at, recorder.seq)

@@ -7,24 +7,10 @@ from typing import Callable
 
 from .canbus import CanBus, CanMessage
 from .core import Event, Simulator, uniform_sampler
-from .ethernet import (
-    ETHERTYPE_CAN_TUNNEL,
-    FCS_BYTES,
-    HEADER_BYTES,
-    VLAN_TAG_BYTES,
-    AVB_PCP,
-    EthFrame,
-)
+from .ethernet import EthFrame
 from .gateway import decode
 from .metrics import LatencyRecorder
-
-
-def filler_payload_len(frame_total_bytes: int, pcp: int) -> int:
-    """The payload of a filler frame whose on-wire MAC frame, header and FCS
-    included, is frame_total_bytes; a pcp in the shaped class adds the VLAN
-    tag.  The result may fall outside MIN_PAYLOAD..MAX_PAYLOAD; callers check."""
-    tag = VLAN_TAG_BYTES if pcp == AVB_PCP else 0
-    return frame_total_bytes - HEADER_BYTES - FCS_BYTES - tag
+from .wire import ETHERTYPE_CAN_TUNNEL
 
 
 class PeriodicCanSender:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from canavbsim.scenario import ScenarioConfig, run_experiment_suite
+from canavbsim.config import ScenarioConfig
+from canavbsim.scenario import run_experiment_suite
 
 
 @pytest.fixture(scope="session")

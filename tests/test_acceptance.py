@@ -12,7 +12,8 @@ import pytest
 from canavbsim.canbus import CanBus, CanMessage, can_frame_time
 from canavbsim.core import Simulator
 from canavbsim.gateway import MalformedPayload, decode, pack
-from canavbsim.scenario import ARMS, ScenarioConfig, build_network, run_experiment_suite
+from canavbsim.config import ARMS, ScenarioConfig
+from canavbsim.scenario import build_network, run_experiment_suite
 
 SEED = 42
 DURATION = 1_000_000_000

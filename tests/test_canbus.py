@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from canavbsim.canbus import (
-    STUFFING_NONE,
-    STUFFING_WORST_CASE,
     CanBus,
     CanError,
     CanMessage,
@@ -17,6 +15,7 @@ from canavbsim.canbus import (
     worst_case_stuff_bits,
 )
 from canavbsim.core import Simulator
+from canavbsim.wire import STUFFING_NONE, STUFFING_WORST_CASE
 
 
 def msg(can_id, source="n", created_at=0, dlc=8):

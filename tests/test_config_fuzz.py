@@ -3,16 +3,16 @@ ConfigError, and any config validate_config accepts builds and runs."""
 
 from hypothesis import given, settings, strategies as st
 
-from canavbsim.canbus import STUFFING_MODELS
-from canavbsim.scenario import (
+from canavbsim.config import (
     CONFIG_KEYS,
     ConfigError,
     ScenarioConfig,
     ValidationError,
-    build_network,
     parse_config,
     validate_config,
 )
+from canavbsim.scenario import build_network
+from canavbsim.wire import STUFFING_MODELS
 
 KEYS = [spec.key for spec in CONFIG_KEYS]
 

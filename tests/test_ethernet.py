@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from canavbsim.core import Simulator
 from canavbsim.ethernet import (
-    AVB_PCP,
     ClockRegression,
     CreditState,
     EgressPort,
@@ -17,6 +16,7 @@ from canavbsim.ethernet import (
     eth_wire_time,
     wire_bits,
 )
+from canavbsim.wire import AVB_PCP
 
 RATE = 100_000_000
 

@@ -6,14 +6,15 @@ import pytest
 
 from canavbsim.canbus import CanMessage
 from canavbsim.core import Simulator
-from canavbsim.ethernet import ETHERTYPE_CAN_TUNNEL, AVB_PCP, MAX_PAYLOAD
 from canavbsim.gateway import (
     Gateway,
     MalformedPayload,
     decode,
     pack,
 )
-from canavbsim.scenario import ScenarioConfig, parse_config, run_scenario
+from canavbsim.config import ScenarioConfig, parse_config
+from canavbsim.scenario import run_scenario
+from canavbsim.wire import AVB_PCP, ETHERTYPE_CAN_TUNNEL, MAX_PAYLOAD
 
 
 def decoded_messages(payload):

@@ -10,7 +10,8 @@ import json
 from pathlib import Path
 
 from canavbsim.metrics import export_csv
-from canavbsim.scenario import parse_config, run_scenario
+from canavbsim.config import parse_config
+from canavbsim.scenario import run_scenario
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
 

@@ -5,7 +5,8 @@ import tracemalloc
 import pytest
 
 from canavbsim.metrics import LatencyRecorder
-from canavbsim.scenario import ScenarioConfig, arm_config, build_network, parse_config, run_scenario
+from canavbsim.config import ScenarioConfig, arm_config, parse_config
+from canavbsim.scenario import build_network, run_scenario
 
 # What a default AVB_jam run may legitimately keep growing: the best-effort
 # backlog and one record per delivered message (256 B covers even a

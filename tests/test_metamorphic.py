@@ -4,7 +4,8 @@ checked without a second model of the network."""
 import pytest
 
 from canavbsim.metrics import export_csv, read_csv
-from canavbsim.scenario import ScenarioConfig, arm_config, run_scenario
+from canavbsim.config import ScenarioConfig, arm_config
+from canavbsim.scenario import run_scenario
 
 # Wire time at 100 Mbps of the one frame a nature arm sends per CAN message:
 # a 46-byte payload with 14 header, 4 FCS, 8 preamble and 12 gap bytes is

@@ -10,11 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from canavbsim import scenario
+from canavbsim import config, scenario
 from canavbsim.cli import main as cli_main
-from canavbsim.ethernet import Switch
-from canavbsim.metrics import export_csv, read_csv
-from canavbsim.scenario import (
+from canavbsim.config import (
     ARMS,
     CONFIG_KEYS,
     ConfigReadError,
@@ -23,15 +21,15 @@ from canavbsim.scenario import (
     ValidationError,
     arm_config,
     arm_name,
-    build_network,
     load_config,
     parse_config,
     parse_duration,
     parse_rate,
-    run_experiment_suite,
-    run_scenario,
     validate_config,
 )
+from canavbsim.ethernet import Switch
+from canavbsim.metrics import export_csv, read_csv
+from canavbsim.scenario import build_network, run_experiment_suite, run_scenario
 
 
 def test_parse_duration_units():
@@ -62,8 +60,8 @@ def test_parse_rate_units():
     assert parse_rate("1Gbps") == 1_000_000_000
 
 
-# Every supported Python accepts the numbers Fraction accepts on 3.11:
-# underscores only between digits, no spaces around "/".
+# Every supported Python accepts the same numbers: underscores only between
+# digits, no spaces around "/".
 @pytest.mark.parametrize(
     "parse,text,expected",
     [
@@ -244,7 +242,7 @@ def test_switch_count_capped_before_anything_is_built(tmp_path, capsys, monkeypa
         raise AssertionError("a network was built")
 
     monkeypatch.setattr(scenario, "Network", no_build)
-    top = scenario.MAX_SWITCHES
+    top = config.MAX_SWITCHES
     assert parse_config(f"switches.count = {top}\n").switch_count == top
     text = "[switches]\ncount = 1000000000\n"
     with pytest.raises(ValidationError, match="switches.count"):

@@ -4,11 +4,12 @@ import pytest
 
 from canavbsim.canbus import CanBus, CanMessage
 from canavbsim.core import Simulator, stream_rng
-from canavbsim.ethernet import ETHERTYPE_CAN_TUNNEL, EgressPort, EthFrame
+from canavbsim.ethernet import EgressPort, EthFrame
 from canavbsim.gateway import MalformedPayload, pack
 from canavbsim.metrics import LatencyRecord, LatencyRecorder, MetricsError
-from canavbsim.scenario import ScenarioConfig
-from canavbsim.traffic import JammingTalker, Listener, PeriodicCanSender, filler_payload_len
+from canavbsim.config import ScenarioConfig
+from canavbsim.traffic import JammingTalker, Listener, PeriodicCanSender
+from canavbsim.wire import ETHERTYPE_CAN_TUNNEL, filler_payload_len
 
 REF = ScenarioConfig()  # the reference scenario's actor settings
 

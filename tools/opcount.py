@@ -26,7 +26,8 @@ import sys
 
 sys.path.insert(0, "src")
 
-from canavbsim.scenario import arm_config, build_network, parse_config  # noqa: E402
+from canavbsim.config import arm_config, parse_config  # noqa: E402
+from canavbsim.scenario import build_network  # noqa: E402
 
 
 def count(net) -> dict[str, int]:
