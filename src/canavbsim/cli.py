@@ -8,11 +8,11 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .config import (
+    CONFIG_KEYS,
     ConfigError,
     ScenarioConfig,
     ValidationError,
     load_config,
-    parse_duration,
     validate_config,
 )
 from .core import SimulationError
@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario from a config file")
     run_p.add_argument("config", help="scenario config file (sectioned key=value)")
-    run_p.add_argument("--seed", type=int, help="override sim.seed")
+    run_p.add_argument("--seed", help="override sim.seed")
     run_p.add_argument("--duration", help="override sim.duration (e.g. 1s, 500ms)")
     run_p.add_argument("--trace", action="store_true", help="write per-event trace.csv")
     run_p.add_argument(
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     suite_p = sub.add_parser("suite", help="run the four experiment arms")
     suite_p.add_argument("config", nargs="?", help="optional base config file")
-    suite_p.add_argument("--seed", type=int, help="override sim.seed")
+    suite_p.add_argument("--seed", help="override sim.seed")
     suite_p.add_argument("--duration", help="override sim.duration (e.g. 1s, 500ms)")
     suite_p.add_argument("--out", help="output directory (default: config's output.dir or '.')")
     return parser
@@ -49,13 +49,15 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     """The config with the flags' overrides, validated before any output is touched."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.duration is not None:
-        try:
-            overrides["duration"] = parse_duration(args.duration)
-        except ValidationError as exc:
-            raise ValidationError(f"--duration: {exc}") from None
+    rows = {spec.field: spec for spec in CONFIG_KEYS}
+    # Each flag is named after its field and parsed as its INI key is.
+    for field in ("seed", "duration"):
+        text = getattr(args, field)
+        if text is not None:
+            try:
+                overrides[field] = rows[field].convert(text)
+            except ValidationError as exc:
+                raise ValidationError(f"--{field}: {exc}") from None
     if args.out is not None:
         overrides["out_dir"] = args.out
     return validate_config(cfg._replace(**overrides))

@@ -119,7 +119,7 @@ class RunFifo:
     __slots__ = ("cap", "depth", "tail", "closed", "closed_depth")
 
     def __init__(self, cap: int | None = None) -> None:
-        self.cap = cap  # tail-drop limit in frames, kept here for PortQueueSet.offer
+        self.cap = cap  # tail-drop limit in frames, kept here for EgressPort.enqueue
         self.depth = 0
         self.tail: EthFrame | None = None
         self.closed: deque[list] = deque()
@@ -159,30 +159,11 @@ class RunFifo:
             yield from repeat(frame, count)
 
 
-class PortQueueSet:
-    """The AVB and best-effort FIFOs of one egress port, with counters."""
+class PortQueues(NamedTuple):
+    """The AVB and best-effort FIFOs of one egress port."""
 
-    def __init__(self, avb_cap: int | None = None, be_cap: int | None = None):
-        self.avb_q = RunFifo(avb_cap)
-        self.be_q = RunFifo(be_cap)
-        self.offered = 0
-        self.dropped = 0
-
-    def offer(self, frame: EthFrame, is_avb: bool) -> bool:
-        """Append a frame already classified; returns False on tail drop."""
-        self.offered += 1
-        q = self.avb_q if is_avb else self.be_q
-        if q.cap is not None and q.depth >= q.cap:
-            self.dropped += 1
-            return False
-        if frame is q.tail:  # the common case, inlined: one more of the tail run
-            q.depth += 1
-        else:
-            q.append(frame)
-        return True
-
-    def queued_frames(self) -> int:
-        return self.avb_q.depth + self.be_q.depth
+    avb_q: RunFifo
+    be_q: RunFifo
 
 
 class EgressPort:
@@ -192,15 +173,15 @@ class EgressPort:
     happens when serialization completes (zero propagation delay).  AVB
     frames carry a VLAN tag on the wire; best-effort frames do not.
 
-    The credit is brought up to now at every arrival, every start and end
-    of a transmission and wherever the shaper reads it to choose a frame,
-    except while it is zero with the AVB queue empty and no AVB frame on the
-    wire.  There CreditState.update integrates no slope and clamps nothing,
-    so each update skipped is a no-op on the credit.  An AVB arrival always
-    updates, so the integration after it starts at the arrival.  The update
-    schedule does not depend on whether depth_trace is set, and every
-    depth_trace row is exact; ``credit.credit`` read between events may lag
-    behind the clock.
+    The credit is at rest while it is zero, the AVB queue is empty and no
+    AVB frame is on the wire.  There CreditState.update integrates no slope
+    and clamps nothing, so an update is a no-op.  Every arrival, end of a
+    transmission and kick brings the credit up to now unless it is at rest;
+    an AVB arrival always does, so the integration after it starts at the
+    arrival, and a kick with both queues empty reads nothing and skips it.
+    The update schedule does not depend on whether depth_trace is set, and
+    every depth_trace row is exact; ``credit.credit`` read between events
+    may lag behind the clock.
     """
 
     def __init__(
@@ -217,7 +198,7 @@ class EgressPort:
         self.name = name
         self.rate = rate
         self.peer = peer
-        self.queues = PortQueueSet(avb_cap, be_cap)
+        self.queues = PortQueues(RunFifo(avb_cap), RunFifo(be_cap))
         self.credit = CreditState(idle_slope, rate)
         # Opt-in hooks, set before the run.  depth_trace receives one
         # (now, port name, avb depth, be depth, credit) tuple at every queue
@@ -228,14 +209,11 @@ class EgressPort:
         # (start_ns, wire_bits, is_avb) entry per transmission.  None keeps
         # no per-transmission state.
         self.tx_log: list[tuple[int, int, bool]] | None = None
+        self.offered = 0
+        self.dropped = 0
         self.transmitted = 0
         self._tx_frame: EthFrame | None = None
         self._tx_is_avb = False
-        # False only where no update can change the credit: it is zero, no
-        # AVB frame waits and none is on the wire.  An AVB arrival sets it and
-        # a kick that finds that state clears it, so it may stay True a while
-        # where an update would change nothing.
-        self._shaping = False
         self._wakeup: Event | None = None
         # (payload_len, tagged) -> eth_wire_time on this link
         self._wire_times: dict[tuple[int, bool], int] = {}
@@ -245,45 +223,48 @@ class EgressPort:
         return self._tx_frame
 
     def queued_frames(self) -> int:
-        return self.queues.queued_frames()
+        avb_q, be_q = self.queues
+        return avb_q.depth + be_q.depth
 
     def enqueue(self, frame: EthFrame, now: int) -> bool:
-        queues = self.queues
+        """Classify and append a frame; returns False on tail drop."""
+        avb_q, be_q = self.queues
         is_avb = frame.pcp == AVB_PCP
-        if is_avb or self._shaping:
+        if is_avb or self.credit.credit or avb_q.depth or self._tx_is_avb:
             # Before the append, so the integration up to now sees the old queue.
-            self.credit.update(now, self._tx_is_avb, not queues.avb_q.depth)
-            self._shaping = True
-        if not queues.offer(frame, is_avb):
+            self._update_credit(now)
+        self.offered += 1
+        q = avb_q if is_avb else be_q
+        if q.cap is not None and q.depth >= q.cap:
+            self.dropped += 1
             if self.on_drop is not None:
                 self.on_drop(frame)
             return False
+        if frame is q.tail:  # the common case, inlined: one more of the tail run
+            q.depth += 1
+        else:
+            q.append(frame)
         if self.depth_trace is not None:
-            self.depth_trace((now, self.name, queues.avb_q.depth, queues.be_q.depth, self.credit.credit))
+            self.depth_trace((now, self.name, avb_q.depth, be_q.depth, self.credit.credit))
         # A busy link picks its next frame at tx_complete.
         if self._tx_frame is None:
             self.kick(now)
         return True
 
     def kick(self, now: int) -> None:
-        """Start a transmission if the link is idle and a frame is eligible."""
-        if self._tx_frame is not None:
-            return
-        queues = self.queues
-        avb_q = queues.avb_q
+        """Start a transmission if a frame is eligible; the link must be idle."""
+        avb_q, be_q = self.queues
         # Selection reads the credit while AVB waits, and so does the depth
-        # row of any start.  With both queues empty nothing is read and no
-        # slope changes, so the update waits for the next arrival.
-        if self._shaping and (avb_q.depth or queues.be_q.depth):
-            self.credit.update(now, False, not avb_q.depth)
-            if not avb_q.depth and not self.credit.credit:
-                self._shaping = False
+        # row of any start; at rest an update is a no-op, and with both
+        # queues empty nothing reads the credit.
+        if avb_q.depth or (self.credit.credit and be_q.depth):
+            self._update_credit(now)
         # AVB has strict priority while credit >= 0; negative credit gates
         # the AVB queue and lets best-effort through.
         if avb_q.depth and self.credit.credit >= 0:
             q = avb_q
-        elif queues.be_q.depth:
-            q = queues.be_q
+        elif be_q.depth:
+            q = be_q
         else:
             if avb_q.depth and self._wakeup is None:
                 # AVB gated on negative credit with nothing else to send:
@@ -307,25 +288,25 @@ class EgressPort:
             self.tx_log.append((now, wire_bits(frame.payload_len, is_avb), is_avb))
         self.sim.schedule(self.name, "tx_complete", now + duration)
         if self.depth_trace is not None:
-            self.depth_trace((now, self.name, queues.avb_q.depth, queues.be_q.depth, self.credit.credit))
+            self.depth_trace((now, self.name, avb_q.depth, be_q.depth, self.credit.credit))
 
     def _handle(self, ev: Event) -> None:
         now = ev.fire_at
         if ev.kind == "tx_complete":
             # Integrate credit over the transmit window before clearing the
             # transmit state, or the send-slope drain would be lost.
-            if self._shaping:
+            if self._tx_is_avb or self.credit.credit or self.queues.avb_q.depth:
                 self._update_credit(now)
             frame = self._tx_frame
             self._tx_frame = None
             self._tx_is_avb = False
             self.transmitted += 1
             if self.depth_trace is not None:
-                queues = self.queues
-                self.depth_trace((now, self.name, queues.avb_q.depth, queues.be_q.depth, self.credit.credit))
+                avb_q, be_q = self.queues
+                self.depth_trace((now, self.name, avb_q.depth, be_q.depth, self.credit.credit))
             self.peer.on_frame_received(frame, now)
             self.kick(now)
-        else:  # credit_ready
+        else:  # credit_ready: a start would have cancelled it, so the link is idle
             self._wakeup = None
             self.kick(now)
 
@@ -336,11 +317,11 @@ class EgressPort:
     def accounting(self) -> dict[str, int]:
         """Exact frame conservation figures for this port."""
         return {
-            "offered": self.queues.offered,
+            "offered": self.offered,
             "transmitted": self.transmitted,
             "queued": self.queued_frames(),
             "in_service": 1 if self._tx_frame is not None else 0,
-            "dropped": self.queues.dropped,
+            "dropped": self.dropped,
         }
 
 

@@ -59,6 +59,8 @@ def nearest_rank(pct: float, n: int) -> int:
     """1-based rank of the nearest-rank percentile pct of n values: ceil(pct/100 * n)."""
     if not n:
         raise MetricsError("percentile of an empty series")
+    if isinstance(pct, bool) or not isinstance(pct, (int, float)):
+        raise MetricsError(f"percentile must be a number, got {pct!r}")
     if not 0 < pct <= 100:
         raise MetricsError(f"percentile must be in (0, 100], got {pct}")
     # Exact rank: pct as written (50.25, not its binary float), no truncation.

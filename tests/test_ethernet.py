@@ -11,7 +11,6 @@ from canavbsim.ethernet import (
     CreditState,
     EgressPort,
     EthFrame,
-    PortQueueSet,
     Switch,
     eth_wire_time,
     wire_bits,
@@ -97,7 +96,7 @@ def selected(credit, *offers):
     port = EgressPort(Simulator(), "p", RATE, 20_000_000, peer=Sink())
     port.credit.credit = credit
     for fr, is_avb in offers:
-        port.queues.offer(fr, is_avb)
+        (port.queues.avb_q if is_avb else port.queues.be_q).append(fr)
     port.kick(0)
     return port.in_service()
 
@@ -116,9 +115,9 @@ def test_select_empty_returns_none():
     assert selected(0) is None
 
 
-# One draw per step: ("offer", shared, is_avb) offers the one shared filler
-# or a new frame to a class; ("pop", is_avb) pops that class's head, and is
-# skipped while the class is empty.
+# One draw per step: ("offer", shared, is_avb) enqueues its class's one
+# shared filler or a new frame; ("pop", is_avb) pops that class's head, and
+# is skipped while the class is empty.
 queue_ops = st.lists(
     st.one_of(
         st.tuples(st.just("offer"), st.booleans(), st.booleans()),
@@ -138,33 +137,42 @@ DRAIN = [FILLER, FILLER, POP, POP]
 @example([NEW, FILLER, FILLER, NEW] + [POP] * 4, None, None)
 @example([("offer", True, True), ("offer", False, True), ("offer", True, True), ("pop", True)], 2, None)
 def test_port_queues_match_a_deque_model(ops, avb_cap, be_cap):
-    filler = frame(pcp=0, payload_len=1452)
-    pq = PortQueueSet(avb_cap, be_cap)
+    port = EgressPort(Simulator(), "p", RATE, 20_000_000, peer=Sink(), avb_cap=avb_cap, be_cap=be_cap)
+    avb_q, be_q = port.queues
+    fillers = {True: frame(pcp=AVB_PCP, payload_len=1452), False: frame(pcp=0, payload_len=1452)}
     model = {True: deque(), False: deque()}
     cap = {True: avb_cap, False: be_cap}
     offered = dropped = 0
+    # A starter frame takes the idle link, so every enqueue after it queues.
+    # With be_cap 0 a best-effort starter would itself be dropped; with both
+    # caps 0 nothing is ever admitted, so nothing starts either.
+    starter_is_avb = be_cap == 0
+    if cap[starter_is_avb] != 0:
+        assert port.enqueue(frame(pcp=AVB_PCP if starter_is_avb else 0), 0)
+        assert port.in_service() is not None
+        offered = 1
     for op in ops:
         if op[0] == "offer":
             _, shared, is_avb = op
-            fr = filler if shared else frame(pcp=AVB_PCP if is_avb else 0)
+            fr = fillers[is_avb] if shared else frame(pcp=AVB_PCP if is_avb else 0)
             accepted = cap[is_avb] is None or len(model[is_avb]) < cap[is_avb]
             offered += 1
             if accepted:
                 model[is_avb].append(fr)
             else:
                 dropped += 1
-            assert pq.offer(fr, is_avb) is accepted
+            assert port.enqueue(fr, 0) is accepted
         elif model[op[1]]:
             is_avb = op[1]
-            assert (pq.avb_q if is_avb else pq.be_q).popleft() is model[is_avb].popleft()
-        for q, ref in ((pq.avb_q, model[True]), (pq.be_q, model[False])):
+            assert (avb_q if is_avb else be_q).popleft() is model[is_avb].popleft()
+        for q, ref in ((avb_q, model[True]), (be_q, model[False])):
             ids = [id(fr) for fr in ref]
             assert len(q) == len(ref)
             assert [id(fr) for fr in q] == ids
             assert [id(fr) for fr, count in q.runs() for _ in range(count)] == ids
             assert all(count > 0 for _, count in q.runs())
             assert next(iter(q), None) is (ref[0] if ref else None)
-        assert (pq.offered, pq.dropped, pq.queued_frames()) == (
+        assert (port.offered, port.dropped, port.queued_frames()) == (
             offered,
             dropped,
             len(model[True]) + len(model[False]),
@@ -189,9 +197,9 @@ def test_switch_forward_classifies_and_delays():
     sw.on_frame_received(frame(pcp=AVB_PCP), 0)
     sw.on_frame_received(frame(pcp=0), 0)
     sim.run_until(4_999)
-    assert port.queues.offered == 0  # still inside the forwarding delay
+    assert port.offered == 0  # still inside the forwarding delay
     sim.run_until(1_000_000)
-    assert port.queues.offered == 2
+    assert port.offered == 2
     assert port.transmitted == 2
 
 
@@ -488,7 +496,7 @@ def depth_rows(port_cls, idle_slope, arrivals, tail, avb_cap, be_cap):
         at += gap
         frames[sim.schedule("drv", "send", at).seq] = frame(pcp, payload_len)
     sim.run_until(at + tail)
-    return rows, port.tx_log, port.queues.dropped
+    return rows, port.tx_log, port.dropped
 
 
 @settings(deadline=None)
@@ -507,6 +515,18 @@ def depth_rows(port_cls, idle_slope, arrivals, tail, avb_cap, be_cap):
 # behind a best-effort one and earns credit, then drains less than it earned;
 # the next best-effort start must see it reset.
 @example(20_000_000, [(0, 0, 1500), (0, AVB_PCP, 46), (0, 0, 46)], 1_000_000, None, None)
+# The credit goes negative and recovers to zero while nothing reads it: the
+# best-effort arrival 500 us on must bring it up to zero before its row.
+@example(20_000_000, [(0, AVB_PCP, 46), (500_000, 0, 1500), (0, 0, 1500)], 1_000_000, None, None)
+# As above, but every best-effort arrival is tail-dropped, so the credit
+# reaches rest with no row; the second AVB arrival's row starts from there.
+@example(
+    20_000_000,
+    [(0, AVB_PCP, 46), (500_000, 0, 1500), (100_000, AVB_PCP, 46), (0, 0, 46)],
+    1_000_000,
+    None,
+    0,
+)
 def test_depth_rows_match_an_eager_credit_update_schedule(
     idle_slope, arrivals, tail, avb_cap, be_cap
 ):

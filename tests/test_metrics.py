@@ -15,6 +15,7 @@ from canavbsim.metrics import (
     MetricsError,
     export_csv,
     format_summary,
+    nearest_rank,
     percentile_nearest_rank,
     read_csv,
 )
@@ -98,6 +99,9 @@ def test_percentile_nearest_rank_direct():
     assert percentile_nearest_rank([10], 99) == 10
     with pytest.raises(MetricsError):
         percentile_nearest_rank([], 50)
+    for pct in (True, "50", None):
+        with pytest.raises(MetricsError):
+            nearest_rank(pct, 10)
 
 
 def test_export_empty_series_header_only(tmp_path):

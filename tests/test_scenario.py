@@ -589,6 +589,15 @@ def test_cli_flag_overrides(tmp_path):
     trace = (tmp_path / "o2" / "trace.csv").read_text().splitlines()
     assert trace[0] == "time_ns,seq,target,kind"
     assert int(trace[-1].split(",")[0]) <= 10_000_000
+    # --seed parses as sim.seed does, so 0x2a is seed 42: the jammer's gaps,
+    # drawn from the seed, put the same events in the trace.
+    jam = write_cfg(tmp_path, "[traffic.jammer]\nenabled = true\n")
+    traces = {}
+    for seed in ("0x2a", "42", "7"):
+        out = tmp_path / f"seed{seed}"
+        assert cli_main(["run", jam, "--duration", "10ms", "--seed", seed, "--out", str(out), "--trace"]) == 0
+        traces[seed] = (out / "trace.csv").read_bytes()
+    assert traces["0x2a"] == traces["42"] != traces["7"]
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -635,11 +644,13 @@ def test_cli_override_validated_before_outputs_are_touched(tmp_path, capsys, bad
 def test_cli_flag_value_error_names_the_flag(tmp_path, capsys, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     write_cfg(tmp_path, "")
-    assert cli_main([*command, "--duration", "5parsecs", "--out", "out"]) == 2
-    assert capsys.readouterr().err == (
-        "error: ValidationError: --duration: cannot parse duration '5parsecs'\n"
-    )
-    assert not (tmp_path / "out").exists()
+    for flag, value, message in (
+        ("--duration", "5parsecs", "cannot parse duration '5parsecs'"),
+        ("--seed", "1e3", "cannot parse integer '1e3'"),
+    ):
+        assert cli_main([*command, flag, value, "--out", "out"]) == 2
+        assert capsys.readouterr().err == f"error: ValidationError: {flag}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_scenario_validates_before_traces_are_touched(tmp_path):
