@@ -1,7 +1,6 @@
 """Deterministic discrete-event simulator for mixed CAN / Ethernet-AVB networks."""
 
 from .config import ARMS, ScenarioConfig, arm_config, load_config, parse_config
-from .scenario import build_network, run_experiment_suite, run_scenario
 
 __version__ = "0.1.0"
 
@@ -15,3 +14,13 @@ __all__ = [
     "run_experiment_suite",
     "run_scenario",
 ]
+
+
+def __getattr__(name: str):
+    # Only the model entry points get here: the model loads on first use, so
+    # importing the config layer loads none of it.
+    if name in __all__:
+        from . import scenario
+
+        return getattr(scenario, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -68,40 +68,6 @@ class EthFrame(NamedTuple):
     ethertype: int = ETHERTYPE_FILLER
 
 
-class CreditState:
-    """802.1Qav-style credit accumulator for one shaped port.
-
-    Piecewise-linear and exact: callers must invoke update() at every
-    boundary where either of its inputs (transmitting AVB, AVB queue empty)
-    changes, and the integration between boundaries uses whichever single
-    rate applied throughout.
-    """
-
-    def __init__(self, idle_slope: int, link_rate: int):
-        self.idle_slope = idle_slope
-        self.send_slope = idle_slope - link_rate
-        self.credit = 0
-        self.last_update = 0
-
-    def update(self, now: int, transmitting_avb: bool, avb_q_empty: bool) -> None:
-        if now < self.last_update:
-            raise ClockRegression(f"credit update at {now} before {self.last_update}")
-        dt = now - self.last_update
-        self.last_update = now
-        if transmitting_avb:
-            self.credit += self.send_slope * dt
-        elif not avb_q_empty or self.credit < 0:
-            self.credit += self.idle_slope * dt
-        if avb_q_empty and not transmitting_avb and self.credit > 0:
-            self.credit = 0
-
-    def replenish_delay(self) -> int:
-        """ns until credit reaches zero at idle_slope (0 if already eligible)."""
-        if self.credit >= 0:
-            return 0
-        return -(-(-self.credit) // self.idle_slope)
-
-
 class RunFifo:
     """A FIFO of frames that holds back-to-back references to one frame
     object as one run, so a backlog of the shared filler costs O(1) memory.
@@ -173,15 +139,17 @@ class EgressPort:
     happens when serialization completes (zero propagation delay).  AVB
     frames carry a VLAN tag on the wire; best-effort frames do not.
 
-    The credit is at rest while it is zero, the AVB queue is empty and no
-    AVB frame is on the wire.  There CreditState.update integrates no slope
-    and clamps nothing, so an update is a no-op.  Every arrival, end of a
-    transmission and kick brings the credit up to now unless it is at rest;
-    an AVB arrival always does, so the integration after it starts at the
-    arrival, and a kick with both queues empty reads nothing and skips it.
-    The update schedule does not depend on whether depth_trace is set, and
-    every depth_trace row is exact; ``credit.credit`` read between events
-    may lag behind the clock.
+    The port owns its 802.1Qav credit, exact and piecewise linear:
+    ``_update_credit`` integrates it from ``_credit_at`` to now at the one
+    slope that held throughout, so the port updates it wherever the slope
+    changes.  The credit is at rest while it is zero, the AVB queue is
+    empty and no AVB frame is on the wire; there an update is a no-op.
+    Every arrival, end of a transmission and kick brings the credit up to
+    now unless it is at rest; an AVB arrival always does, so the integration
+    after it starts at the arrival, and a kick with both queues empty reads
+    nothing and skips it.  The update schedule does not depend on whether
+    depth_trace is set, and every depth_trace row is exact; ``credit`` read
+    between events may lag behind the clock.
     """
 
     def __init__(
@@ -199,7 +167,10 @@ class EgressPort:
         self.rate = rate
         self.peer = peer
         self.queues = PortQueues(RunFifo(avb_cap), RunFifo(be_cap))
-        self.credit = CreditState(idle_slope, rate)
+        self.idle_slope = idle_slope
+        self.send_slope = idle_slope - rate
+        self.credit = 0
+        self._credit_at = 0
         # Opt-in hooks, set before the run.  depth_trace receives one
         # (now, port name, avb depth, be depth, credit) tuple at every queue
         # change, so a list's bound append can collect the rows.
@@ -230,7 +201,7 @@ class EgressPort:
         """Classify and append a frame; returns False on tail drop."""
         avb_q, be_q = self.queues
         is_avb = frame.pcp == AVB_PCP
-        if is_avb or self.credit.credit or avb_q.depth or self._tx_is_avb:
+        if is_avb or self.credit or avb_q.depth or self._tx_is_avb:
             # Before the append, so the integration up to now sees the old queue.
             self._update_credit(now)
         self.offered += 1
@@ -245,7 +216,7 @@ class EgressPort:
         else:
             q.append(frame)
         if self.depth_trace is not None:
-            self.depth_trace((now, self.name, avb_q.depth, be_q.depth, self.credit.credit))
+            self.depth_trace((now, self.name, avb_q.depth, be_q.depth, self.credit))
         # A busy link picks its next frame at tx_complete.
         if self._tx_frame is None:
             self.kick(now)
@@ -257,11 +228,11 @@ class EgressPort:
         # Selection reads the credit while AVB waits, and so does the depth
         # row of any start; at rest an update is a no-op, and with both
         # queues empty nothing reads the credit.
-        if avb_q.depth or (self.credit.credit and be_q.depth):
+        if avb_q.depth or (self.credit and be_q.depth):
             self._update_credit(now)
         # AVB has strict priority while credit >= 0; negative credit gates
         # the AVB queue and lets best-effort through.
-        if avb_q.depth and self.credit.credit >= 0:
+        if avb_q.depth and self.credit >= 0:
             q = avb_q
         elif be_q.depth:
             q = be_q
@@ -270,7 +241,7 @@ class EgressPort:
                 # AVB gated on negative credit with nothing else to send:
                 # wake exactly when credit reaches zero.
                 self._wakeup = self.sim.schedule(
-                    self.name, "credit_ready", now + self.credit.replenish_delay()
+                    self.name, "credit_ready", now - self.credit // self.idle_slope
                 )
             return
         frame = q.popleft()
@@ -288,14 +259,14 @@ class EgressPort:
             self.tx_log.append((now, wire_bits(frame.payload_len, is_avb), is_avb))
         self.sim.schedule(self.name, "tx_complete", now + duration)
         if self.depth_trace is not None:
-            self.depth_trace((now, self.name, avb_q.depth, be_q.depth, self.credit.credit))
+            self.depth_trace((now, self.name, avb_q.depth, be_q.depth, self.credit))
 
     def _handle(self, ev: Event) -> None:
         now = ev.fire_at
         if ev.kind == "tx_complete":
             # Integrate credit over the transmit window before clearing the
             # transmit state, or the send-slope drain would be lost.
-            if self._tx_is_avb or self.credit.credit or self.queues.avb_q.depth:
+            if self._tx_is_avb or self.credit or self.queues.avb_q.depth:
                 self._update_credit(now)
             frame = self._tx_frame
             self._tx_frame = None
@@ -303,7 +274,7 @@ class EgressPort:
             self.transmitted += 1
             if self.depth_trace is not None:
                 avb_q, be_q = self.queues
-                self.depth_trace((now, self.name, avb_q.depth, be_q.depth, self.credit.credit))
+                self.depth_trace((now, self.name, avb_q.depth, be_q.depth, self.credit))
             self.peer.on_frame_received(frame, now)
             self.kick(now)
         else:  # credit_ready: a start would have cancelled it, so the link is idle
@@ -311,8 +282,19 @@ class EgressPort:
             self.kick(now)
 
     def _update_credit(self, now: int) -> None:
+        if now < self._credit_at:
+            raise ClockRegression(f"credit update at {now} before {self._credit_at}")
+        dt = now - self._credit_at
+        self._credit_at = now
         # _tx_is_avb is only ever true while a frame is in service.
-        self.credit.update(now, self._tx_is_avb, not self.queues.avb_q.depth)
+        if self._tx_is_avb:
+            self.credit += self.send_slope * dt
+        elif self.queues.avb_q.depth:
+            self.credit += self.idle_slope * dt
+        elif self.credit < 0:  # recovers at idle_slope, up to zero and no further
+            self.credit = min(0, self.credit + self.idle_slope * dt)
+        else:  # positive credit is lost once the AVB queue empties
+            self.credit = 0
 
     def accounting(self) -> dict[str, int]:
         """Exact frame conservation figures for this port."""

@@ -114,26 +114,22 @@ class Gateway:
 
     def _handle(self, ev: Event) -> None:
         now = ev.fire_at
-        if self.fifo:  # an empty tick emits nothing
-            self.eth_port.enqueue(self.on_pack_timer(), now)
-        self.sim.schedule(self.name, "pack", now + self.pack_period)
-
-    def on_pack_timer(self) -> EthFrame:
-        """Build the tick's frame from the head of a non-empty FIFO."""
         fifo = self.fifo
-        limit = self.mtu_payload
-        batch = []
-        size = COUNT_SIZE
-        while fifo:
-            size += RECORD_OVERHEAD + len(fifo[0].payload)
-            if size > limit:
-                break
-            batch.append(fifo.popleft())
-        payload = pack(batch)
-        self.frames_sent += 1
-        return EthFrame(
-            pcp=self.class_for_can,
-            payload_len=max(MIN_PAYLOAD, len(payload)),
-            payload=payload,
-            ethertype=ETHERTYPE_CAN_TUNNEL,
-        )
+        if fifo:  # an empty tick emits nothing
+            limit = self.mtu_payload
+            batch = []
+            size = COUNT_SIZE
+            while fifo:
+                size += RECORD_OVERHEAD + len(fifo[0].payload)
+                if size > limit:
+                    break
+                batch.append(fifo.popleft())
+            payload = pack(batch)
+            self.frames_sent += 1
+            self.eth_port.enqueue(EthFrame(
+                pcp=self.class_for_can,
+                payload_len=max(MIN_PAYLOAD, len(payload)),
+                payload=payload,
+                ethertype=ETHERTYPE_CAN_TUNNEL,
+            ), now)
+        self.sim.schedule(self.name, "pack", now + self.pack_period)

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from canavbsim.core import Simulator
 from canavbsim.ethernet import (
     ClockRegression,
-    CreditState,
     EgressPort,
     EthFrame,
     Switch,
@@ -44,44 +43,6 @@ def test_wire_time_rounds_up():
     assert t * 999_999 >= wire_bits(46, False) * 10**9
 
 
-def test_credit_idle_with_empty_queue_stays_zero():
-    cs = CreditState(idle_slope=20_000_000, link_rate=RATE)
-    cs.update(1_000_000, transmitting_avb=False, avb_q_empty=True)
-    assert cs.credit == 0
-
-
-def test_credit_drain_during_max_frame_and_replenish_time():
-    # hand integration: send_slope -80 Mbps over 123.36 us = -9868.8 bits,
-    # stored scaled by 1e9; replenish at 20 Mbps takes 493.44 us.
-    cs = CreditState(idle_slope=20_000_000, link_rate=RATE)
-    cs.update(123_360, transmitting_avb=True, avb_q_empty=False)
-    assert cs.credit == -80_000_000 * 123_360
-    assert cs.credit == -9_868_800_000_000
-    assert cs.replenish_delay() == 493_440
-
-
-def test_credit_replenish_linearity():
-    cs = CreditState(idle_slope=20_000_000, link_rate=RATE)
-    cs.credit = -100_000_000
-    cs.update(5, transmitting_avb=False, avb_q_empty=False)  # 20e6 * 5 = 1e8
-    assert cs.credit == 0
-
-
-def test_credit_positive_resets_when_queue_empties():
-    cs = CreditState(idle_slope=20_000_000, link_rate=RATE)
-    cs.update(1_000, transmitting_avb=False, avb_q_empty=False)
-    assert cs.credit > 0
-    cs.update(1_000, transmitting_avb=False, avb_q_empty=True)
-    assert cs.credit == 0
-
-
-def test_credit_clock_regression():
-    cs = CreditState(idle_slope=20_000_000, link_rate=RATE)
-    cs.update(100, False, True)
-    with pytest.raises(ClockRegression):
-        cs.update(99, False, True)
-
-
 class Sink:
     def __init__(self):
         self.received = []
@@ -90,11 +51,93 @@ class Sink:
         self.received.append((fr, now))
 
 
+def shaped_port(idle_slope=20_000_000):
+    """An idle 100 Mbps port and its simulator; frames are enqueued directly."""
+    sim = Simulator()
+    return sim, EgressPort(sim, "p", RATE, idle_slope, peer=Sink())
+
+
+def test_credit_idle_with_empty_queue_stays_zero():
+    # Best-effort traffic alone never moves the credit off zero.
+    sim, port = shaped_port()
+    port.enqueue(frame(pcp=0, payload_len=1500), 0)
+    sim.run_until(1_000_000)
+    port._update_credit(1_000_000)
+    assert port.credit == 0
+
+
+def test_credit_drain_during_max_frame_and_replenish_time():
+    # hand integration: send_slope -80 Mbps over 123.36 us = -9868.8 bits,
+    # stored scaled by 1e9; replenish at 20 Mbps takes 493.44 us, so the
+    # second frame's wakeup is due at 123.36 + 493.44 = 616.8 us.
+    sim, port = shaped_port()
+    port.enqueue(frame(pcp=AVB_PCP, payload_len=1500), 0)
+    port.enqueue(frame(pcp=AVB_PCP, payload_len=1500), 0)
+    sim.run_until(123_360)
+    assert port.credit == -80_000_000 * 123_360
+    assert port.credit == -9_868_800_000_000
+    assert port._wakeup.fire_at == 123_360 + 493_440 == 616_800
+
+
+def test_credit_wakeup_rounds_up_to_the_first_nonnegative_ns():
+    # At a 7 Mbps idle slope the deficit of one 1500-byte AVB frame,
+    # 93e6 * 123_360, takes 1_638_925.7 ns to recover: the wakeup is due at
+    # the first whole ns where the credit is no longer negative.
+    sim, port = shaped_port(idle_slope=7_000_000)
+    port.tx_log = []
+    port.enqueue(frame(pcp=AVB_PCP, payload_len=1500), 0)
+    port.enqueue(frame(pcp=AVB_PCP, payload_len=1500), 0)
+    sim.run_until(123_360)
+    assert port._wakeup.fire_at == 123_360 + 1_638_926
+    sim.run_until(10_000_000)
+    assert port.tx_log == [(0, 12_336, True), (123_360 + 1_638_926, 12_336, True)]
+
+
+def test_credit_replenish_linearity():
+    # 20 Mbps recovers 2e7 units per ns, so -1e8 reaches zero in exactly 5 ns;
+    # with the AVB queue empty it stops there.
+    sim, port = shaped_port()
+    port.credit = -100_000_000
+    port._update_credit(2)
+    assert port.credit == -60_000_000
+    port._update_credit(10)
+    assert port.credit == 0
+    # A waiting AVB frame is gated until the same 5 ns have passed.
+    avb = frame(pcp=AVB_PCP)
+    port.credit = -100_000_000
+    port.enqueue(avb, 10)
+    assert port.in_service() is None and port._wakeup.fire_at == 15
+    sim.run_until(15)
+    assert port.in_service() is avb and port.credit == 0
+
+
+def test_credit_positive_resets_when_queue_empties():
+    # The AVB frame earns credit behind a 1500-byte best-effort frame for
+    # 123.04 us, then drains less than that over its own 7.04 us: the rest
+    # outlives the transmission only until the next update.
+    sim, port = shaped_port()
+    port.enqueue(frame(pcp=0, payload_len=1500), 0)
+    port.enqueue(frame(pcp=AVB_PCP), 0)
+    sim.run_until(130_080)
+    assert port.in_service() is None
+    assert port.credit == 20_000_000 * 123_040 - 80_000_000 * 7_040 > 0
+    port._update_credit(130_080)
+    assert port.credit == 0
+
+
+def test_credit_clock_regression():
+    avb = frame(pcp=AVB_PCP)
+    sim, port = shaped_port()
+    port.enqueue(avb, 100)
+    with pytest.raises(ClockRegression):
+        port.enqueue(avb, 99)
+
+
 def selected(credit, *offers):
     """The frame an idle port starts when kicked with these queued
     (frame, is_avb) offers and this credit."""
     port = EgressPort(Simulator(), "p", RATE, 20_000_000, peer=Sink())
-    port.credit.credit = credit
+    port.credit = credit
     for fr, is_avb in offers:
         (port.queues.avb_q if is_avb else port.queues.be_q).append(fr)
     port.kick(0)
@@ -433,7 +476,7 @@ def run_arrivals(idle_slope, arrivals, tail, observed):
     horizon = at + tail
     stats = sim.run_until(horizon)
     port._update_credit(horizon)
-    return port.tx_log, stats.events_dispatched, port.credit.credit
+    return port.tx_log, stats.events_dispatched, port.credit
 
 
 arrival_lists = st.lists(
@@ -566,10 +609,10 @@ def test_credit_reset_invariant_after_drain():
     sim.register("drv", lambda ev: port.enqueue(frame(pcp=AVB_PCP), ev.fire_at))
     sim.schedule("drv", "go", 0)
     sim.run_until(7_040)
-    assert port.credit.credit < 0  # just drained by the transmission
+    assert port.credit < 0  # just drained by the transmission
     # once the queue is empty, credit recovers to zero and holds there
     port._update_credit(1_000_000)
-    assert port.credit.credit == 0
+    assert port.credit == 0
 
 
 def test_frame_conservation_counters():

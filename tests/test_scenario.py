@@ -1,5 +1,6 @@
 """Scenario tests: config parsing, arm selection, topology runs, CLI surface."""
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -368,6 +369,39 @@ def test_sliced_run_matches_one_run_until_to_the_horizon(arm, seed):
     assert result.stats == stats
     assert result.records.columns == net.recorder.columns
     assert len(net.recorder) > 0
+
+
+# Figures of the credit-based shaper at a pinned seed: with a 120 us CAN
+# period the gateway offers more AVB load than a 1 or 2 Mbps idle slope
+# passes, so AVB frames wait for credit_ready wakeups.  No benchmark
+# workload or golden reaches that path; these figures pin it end to end.
+# tx_sha256 hashes every port's tx_log.
+@pytest.mark.parametrize(
+    "idle_slope,events,wakeups,max_latency,tx_sha256",
+    [
+        ("1Mbps", 8_514, 497, 104_848_080,
+         "595adec6bb5dcdfe2779e786dd4b17e941bf83d1a9bf090d1c71371598f001ad"),
+        ("2Mbps", 9_970, 1_003, 10_404_080,
+         "564e9e5f1eedfc198c6767b068ba371e34c1490a49438a22fda3b3083e828ece"),
+    ],
+    ids=["1Mbps", "2Mbps"],
+)
+def test_gated_avb_nature_run_is_pinned(idle_slope, events, wakeups, max_latency, tx_sha256):
+    cfg = arm_config(parse_config(
+        "sim.seed = 42\nsim.duration = 200ms\ntraffic.sender.period = 120us\n"
+        f"switches.idle_slope = {idle_slope}\n"
+    ), "AVB_nature")
+    net = build_network(cfg)
+    kinds = []
+    net.sim.trace = lambda ev: kinds.append(ev.kind)
+    for port in net.ports:
+        port.tx_log = []
+    stats = net.run()
+    tx_log = "".join("%d,%d,%d\n" % row for port in net.ports for row in port.tx_log)
+    assert stats.events_dispatched == events
+    assert kinds.count("credit_ready") == wakeups
+    assert net.recorder.summarize().max == max_latency
+    assert hashlib.sha256(tx_log.encode()).hexdigest() == tx_sha256
 
 
 def test_suite_emits_exactly_the_four_arms(tmp_path):
