@@ -8,6 +8,7 @@ retransmission are not modeled.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .core import Event, SimulationError, Simulator
@@ -57,28 +58,19 @@ def can_frame_time(dlc: int, bitrate: int, stuffing_model: str = STUFFING_NONE) 
     return -(-bits * 1_000_000_000 // bitrate)
 
 
-def arbitrate(pending: list[CanMessage] | set[CanMessage]) -> CanMessage:
-    """Pick and remove the winner (numerically smallest can_id) from pending.
+def arbitrate(pending: list[CanMessage]) -> CanMessage:
+    """The winner among pending: the numerically smallest can_id.  pending
+    is left as it was.
 
     Raises DuplicateIdContention when two distinct nodes hold the winning
     identifier; that situation is undefined on a real bus.
     """
     if not pending:
         raise CanError("arbitrate called with no contenders")
-    contenders = iter(pending)
-    winner = next(contenders)
-    win_id = winner.can_id
-    tied = False
-    for m in contenders:
-        if m.can_id < win_id:
-            winner, win_id, tied = m, m.can_id, False
-        elif m.can_id == win_id:
-            tied = True
-    if tied:
-        sources = sorted(m.source for m in pending if m.can_id == win_id)
-        if sources[0] != sources[-1]:
-            raise DuplicateIdContention(f"nodes {sources} contend with id {win_id:#x}")
-    pending.remove(winner)
+    winner = min(pending, key=attrgetter("can_id"))
+    sources = sorted(m.source for m in pending if m.can_id == winner.can_id)
+    if sources[0] != sources[-1]:
+        raise DuplicateIdContention(f"nodes {sources} contend with id {winner.can_id:#x}")
     return winner
 
 

@@ -66,7 +66,7 @@ _RATE_UNITS = {"bps": 1, "kbps": 1_000, "mbps": 1_000_000, "gbps": 1_000_000_000
 
 
 # A decimal or fraction literal: underscores only between digits, no
-# spaces around "/".  exact_ratio reads the named groups.
+# spaces around "/".  _scaled_int reads the named groups.
 _DIGITS = r"\d+(?:_\d+)*"
 _NUMBER = re.compile(
     rf"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<int>{_DIGITS})?(?:/(?P<den>{_DIGITS})"
@@ -74,27 +74,10 @@ _NUMBER = re.compile(
 )
 
 
-def exact_ratio(text: str) -> tuple[int, int]:
-    """The exact value of a _NUMBER literal as (numerator, denominator), not reduced.
-    ValueError if text is not one, divides by 0 or has a digit run too long for int()."""
-    m = _NUMBER.fullmatch(text)
-    if m is None:
-        raise ValueError(f"not a number: {text!r}")
-    sign, whole, den, frac, exp = (part.replace("_", "") for part in m.groups(""))
-    if den:
-        num, den = int(whole), int(den)
-        if not den:
-            raise ValueError(f"zero denominator in {text!r}")
-    else:
-        den = 10 ** len(frac)
-        num = int(whole or "0") * den + int(frac or "0")
-        exp = int(exp or "0")
-        num, den = (num * 10**exp, den) if exp >= 0 else (num, den * 10**-exp)
-    return (-num if sign == "-" else num), den
-
-
 def _scaled_int(text: str, units: dict[str, int], what: str) -> int:
-    raw = text.strip().lower().replace("µs", "us")
+    """The exact value of a _NUMBER literal with an optional unit suffix, in base units."""
+    # The micro sign (U+00B5) and the Greek small mu (U+03BC) look the same.
+    raw = text.strip().lower().replace("\u00b5s", "us").replace("\u03bcs", "us")
     mult = 1
     for suffix in sorted(units, key=len, reverse=True):
         if raw.endswith(suffix):
@@ -103,14 +86,23 @@ def _scaled_int(text: str, units: dict[str, int], what: str) -> int:
     m = _NUMBER.fullmatch(raw)
     if m is None:
         raise ValidationError(f"cannot parse {what} {text!r}")
-    # exact_ratio builds 10**exponent, so a huge exponent would run for minutes.
-    if len((m["exp"] or "").lstrip("+-").replace("_", "").lstrip("0")) > 2:
+    sign, whole, den, frac, exp = (part.replace("_", "") for part in m.groups(""))
+    # The value takes 10**exponent, so a huge exponent would run for minutes.
+    if len(exp.lstrip("+-").lstrip("0")) > 2:
         raise ValidationError(f"{what} {text!r} has an exponent beyond ±99")
     try:
-        num, den = exact_ratio(raw)
-    except ValueError:
+        if den:
+            num, den = int(whole), int(den)
+        else:
+            den = 10 ** len(frac)
+            num = int(whole or "0") * den + int(frac or "0")
+            exp = int(exp or "0")
+            num, den = (num * 10**exp, den) if exp >= 0 else (num, den * 10**-exp)
+    except ValueError:  # a digit run longer than int() converts
         raise ValidationError(f"cannot parse {what} {text!r}") from None
-    num *= mult
+    if not den:
+        raise ValidationError(f"cannot parse {what} {text!r}")
+    num = (-num if sign == "-" else num) * mult
     if num % den:
         raise ValidationError(f"{what} {text!r} is not a whole number of base units")
     return num // den

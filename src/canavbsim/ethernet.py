@@ -28,11 +28,7 @@ from .wire import (
 )
 
 
-class EthError(SimulationError):
-    pass
-
-
-class ClockRegression(EthError):
+class ClockRegression(SimulationError):
     """Credit update asked to integrate backwards in time."""
 
 

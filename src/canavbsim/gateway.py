@@ -19,11 +19,7 @@ from .wire import (
 )
 
 
-class GatewayError(SimulationError):
-    pass
-
-
-class MalformedPayload(GatewayError):
+class MalformedPayload(SimulationError):
     pass
 
 

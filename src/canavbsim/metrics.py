@@ -12,7 +12,6 @@ from operator import lt, rshift, sub
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
-from .config import exact_ratio
 from .core import SimulationError
 
 # Rows formatted per write.  Below the cyclic collector's generation-0
@@ -53,24 +52,6 @@ class RunSummary(NamedTuple):
     mean: float | None = None
     p50: int | None = None
     p99: int | None = None
-
-
-def nearest_rank(pct: float, n: int) -> int:
-    """1-based rank of the nearest-rank percentile pct of n values: ceil(pct/100 * n)."""
-    if not n:
-        raise MetricsError("percentile of an empty series")
-    if isinstance(pct, bool) or not isinstance(pct, (int, float)):
-        raise MetricsError(f"percentile must be a number, got {pct!r}")
-    if not 0 < pct <= 100:
-        raise MetricsError(f"percentile must be in (0, 100], got {pct}")
-    # Exact rank: pct as written (50.25, not its binary float), no truncation.
-    num, den = exact_ratio(str(pct))
-    return -(-num * n // (100 * den))
-
-
-def percentile_nearest_rank(sorted_values: Sequence[int], pct: float) -> int:
-    """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
-    return sorted_values[nearest_rank(pct, len(sorted_values)) - 1]
 
 
 _BUCKET_BITS = 12  # a pass counts each open window in at most 2**12 + 1 buckets
@@ -181,7 +162,8 @@ class LatencyRecorder(Sequence):
 
         n = len(self.delivered_at)
         lo, hi = min(latencies()), max(latencies())
-        p50, p99 = nearest_rank(50, n), nearest_rank(99, n)
+        # Nearest ranks ceil(pct * n / 100), 1-based, in integers.
+        p50, p99 = -(-50 * n // 100), -(-99 * n // 100)
         at = _select_ranks(latencies, lo, hi, (p50, p99))
         return RunSummary(
             count=n,

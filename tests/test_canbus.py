@@ -84,13 +84,13 @@ def test_worst_case_stuffing_matches_bit_level_enumerator(dlc):
 def test_arbitrate_singleton():
     pending = [msg(5, "a")]
     assert arbitrate(pending).can_id == 5
-    assert pending == []
+    assert pending == [msg(5, "a")]
 
 
 def test_arbitrate_min_id_wins():
     pending = [msg(0x100, "a"), msg(0x0A0, "b"), msg(0x700, "c")]
     assert arbitrate(pending).can_id == 0x0A0
-    assert len(pending) == 2
+    assert pending == [msg(0x100, "a"), msg(0x0A0, "b"), msg(0x700, "c")]
 
 
 def test_arbitrate_against_brute_force_min():
@@ -98,7 +98,7 @@ def test_arbitrate_against_brute_force_min():
     for _ in range(1_000):
         ids = rng.sample(range(2048), rng.randint(1, 8))
         pending = [msg(i, f"n{i}") for i in ids]
-        winner = arbitrate(list(pending))
+        winner = arbitrate(pending)
         assert winner.can_id == min(m.can_id for m in pending)
 
 

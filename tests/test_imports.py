@@ -94,3 +94,8 @@ def test_config_and_wire_import_no_model_module():
     assert {rel for rel, _ in config if rel} == {".core", ".wire"}
     for _, absolute in wire + config:
         assert not (absolute or "").startswith("canavbsim"), absolute
+
+
+def test_metrics_imports_only_the_core_from_the_package():
+    # Percentile ranks are integer arithmetic, so metrics needs no config parser.
+    assert {rel for rel, _ in package_imports("metrics") if rel} == {".core"}

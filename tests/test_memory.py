@@ -46,7 +46,8 @@ def test_default_jam_run_retains_no_per_transmission_state():
 
 
 # A delivered CAN message keeps one row of typed columns: three u64 and one
-# u16 fields, an 8-byte arm reference, plus the columns' spare capacity.
+# u16 fields, 26 B (the recorder holds one arm label per run, not per row),
+# plus the columns' spare capacity.
 BYTES_PER_COLUMN_ROW = 48
 
 

@@ -15,8 +15,6 @@ from canavbsim.metrics import (
     MetricsError,
     export_csv,
     format_summary,
-    nearest_rank,
-    percentile_nearest_rank,
     read_csv,
 )
 
@@ -93,17 +91,6 @@ def test_out_of_order_delivery_accepted():
     assert r.summarize().count == 2
 
 
-def test_percentile_nearest_rank_direct():
-    assert percentile_nearest_rank([10, 20, 30, 40], 50) == 20
-    assert percentile_nearest_rank([10, 20, 30, 40], 99) == 40
-    assert percentile_nearest_rank([10], 99) == 10
-    with pytest.raises(MetricsError):
-        percentile_nearest_rank([], 50)
-    for pct in (True, "50", None):
-        with pytest.raises(MetricsError):
-            nearest_rank(pct, 10)
-
-
 def test_export_empty_series_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     export_csv(LatencyRecorder(), path)
@@ -166,14 +153,6 @@ def test_export_order_equals_created_at_seq_tuple_order(tmp_path):
     export_csv(recorder_of(records), path)
     expected = sorted(records, key=lambda r: (r.created_at, r.seq))
     assert read_csv(path) == expected
-
-
-def test_percentile_rank_is_exact_not_truncated():
-    # ceil(50.25% of 2) = ceil(1.005) = 2; truncating pct * n first gives rank 1.
-    assert percentile_nearest_rank([10, 20], 50.25) == 20
-    assert percentile_nearest_rank([10, 20], 50) == 10
-    assert percentile_nearest_rank(list(range(1, 1001)), 99.9) == 999
-    assert percentile_nearest_rank(list(range(1, 1001)), 99.95) == 1000
 
 
 @pytest.mark.parametrize(

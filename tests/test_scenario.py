@@ -36,7 +36,8 @@ from canavbsim.scenario import build_network, run_experiment_suite, run_scenario
 def test_parse_duration_units():
     assert parse_duration("123") == 123
     assert parse_duration("5us") == 5_000
-    assert parse_duration("5µs") == 5_000
+    assert parse_duration("5\u00b5s") == 5_000  # micro sign
+    assert parse_duration("5\u03bcs") == 5_000  # Greek small mu
     assert parse_duration("3ms") == 3_000_000
     assert parse_duration("1s") == 1_000_000_000
     assert parse_duration("0.5ms") == 500_000
