@@ -26,22 +26,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic CAN / Ethernet-AVB network simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags both commands take, declared once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", help="override sim.seed")
+    common.add_argument("--duration", help="override sim.duration (e.g. 1s, 500ms)")
+    common.add_argument("--out", help="output directory (default: config's output.dir or '.')")
 
-    run_p = sub.add_parser("run", help="run one scenario from a config file")
+    run_p = sub.add_parser("run", parents=[common], help="run one scenario from a config file")
     run_p.add_argument("config", help="scenario config file (sectioned key=value)")
-    run_p.add_argument("--seed", help="override sim.seed")
-    run_p.add_argument("--duration", help="override sim.duration (e.g. 1s, 500ms)")
     run_p.add_argument("--trace", action="store_true", help="write per-event trace.csv")
     run_p.add_argument(
         "--queue-trace", action="store_true", help="write per-port queue_trace.csv"
     )
-    run_p.add_argument("--out", help="output directory (default: config's output.dir or '.')")
 
-    suite_p = sub.add_parser("suite", help="run the four experiment arms")
+    suite_p = sub.add_parser("suite", parents=[common], help="run the four experiment arms")
     suite_p.add_argument("config", nargs="?", help="optional base config file")
-    suite_p.add_argument("--seed", help="override sim.seed")
-    suite_p.add_argument("--duration", help="override sim.duration (e.g. 1s, 500ms)")
-    suite_p.add_argument("--out", help="output directory (default: config's output.dir or '.')")
     return parser
 
 

@@ -228,16 +228,23 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
 
     This is the one check site: the actors take their values as given.  Each
     message starts with the INI key of the value it rejects.  Every value is
-    checked against its row's bounds in CONFIG_KEYS first, so the checks
-    that relate two values may rely on those bounds."""
+    checked against its row's type and bounds in CONFIG_KEYS first, so the
+    checks that relate two values may rely on those.  A row read by
+    ``_parse_bool`` takes a bool; every row but those read by ``str.strip``
+    takes an int that is no bool, or None where the default is None."""
 
     def need(cond: bool, message: str):
         if not cond:
             raise ValidationError(message)
 
     for spec, value in zip(CONFIG_KEYS, cfg):
-        if value is None:
+        # can.stuffing_model is checked by membership below; output.dir is any path.
+        if spec.convert is str.strip or (value is None and spec.default is None):
             continue
+        kind = bool if spec.convert is _parse_bool else int
+        if type(value) is not kind:
+            none = " or None" if spec.default is None else ""
+            raise ValidationError(f"{spec.key} must be {kind.__name__}{none}, got {value!r}")
         if spec.lo is not None and value < spec.lo:
             raise ValidationError(f"{spec.key} must be at least {spec.lo}, got {value}")
         if spec.hi is not None and value > spec.hi:

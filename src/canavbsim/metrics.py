@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import csv
 from array import array
-from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, filterfalse, islice, repeat
+from collections.abc import Callable, Iterator, Sequence
+from itertools import chain, islice, repeat
 from operator import lt, rshift, sub
 from pathlib import Path
 from typing import NamedTuple, TextIO
@@ -54,47 +53,31 @@ class RunSummary(NamedTuple):
     p99: int | None = None
 
 
-_BUCKET_BITS = 12  # a pass counts each open window in at most 2**12 + 1 buckets
+_BUCKET_BITS = 12  # a pass counts its one window in at most 2**12 + 1 buckets
 
 
-def _select_ranks(
-    values: Callable[[], Iterator[int]], lo: int, hi: int, ranks: Iterable[int]
-) -> dict[int, int]:
-    """Exact order statistics: the rank-th smallest (1-based) of the series
-    that each call of ``values()`` iterates, for every rank in ``ranks``;
-    every value lies in [lo, hi].
+def _select_rank(values: Callable[[], Iterator[int]], lo: int, hi: int, rank: int) -> int:
+    """Exact order statistic: the rank-th smallest (1-based) of the series
+    that each call of ``values()`` iterates, whose minimum is lo and maximum
+    is hi.
 
-    Each pass counts the values inside the still-open windows by
-    ``value >> shift`` and narrows each rank's window to the bucket that
-    holds it, until ``shift`` is 0; all ranks share each pass.  A 64-bit
-    range takes at most 6 passes, and the extra memory is the bucket counts,
-    whatever the length of the series.
+    Each pass counts the values inside the window [lo, hi] by
+    ``value >> shift`` and narrows the window to the bucket that holds the
+    rank, until it is one value.  A 64-bit range takes at most 6 passes, and
+    the extra memory is one pass's bucket counts, whatever the length of the
+    series.
     """
-    found = {}
-    open_ranks = {rank: (lo, hi, rank) for rank in ranks}  # rank -> window, rank inside it
-    while open_ranks:
-        windows = sorted({(a, b) for a, b, _ in open_ranks.values()})
-        shift = max(0, max(b - a for a, b in windows).bit_length() - _BUCKET_BITS)
-        kept = values()
-        if windows != [(lo, hi)]:  # the first pass keeps every value
-            kept = filter(range(windows[0][0], windows[-1][1] + 1).__contains__, kept)
-            for (_, b), (a, _) in zip(windows, windows[1:]):
-                kept = filterfalse(range(b + 1, a).__contains__, kept)
+    kept = values()  # the first pass keeps every value
+    while lo < hi:
+        shift = max(0, (hi - lo).bit_length() - _BUCKET_BITS)
         counts = Counter(map(rshift, kept, repeat(shift)))
-        keys = sorted(counts)
-        for rank, (a, b, inner) in list(open_ranks.items()):
-            i = bisect_left(keys, a >> shift)
-            while counts[keys[i]] < inner:
-                inner -= counts[keys[i]]
-                i += 1
-            key = keys[i]
-            a, b = max(a, key << shift), min(b, ((key + 1) << shift) - 1)
-            if a == b:
-                found[rank] = a
-                del open_ranks[rank]
-            else:
-                open_ranks[rank] = (a, b, inner)
-    return found
+        for key in sorted(counts):
+            if counts[key] >= rank:
+                break
+            rank -= counts[key]
+        lo, hi = max(lo, key << shift), min(hi, ((key + 1) << shift) - 1)
+        kept = filter(range(lo, hi + 1).__contains__, values())
+    return lo
 
 
 def _precedes(created_at: int, delivered_at: int) -> MetricsError:
@@ -164,14 +147,13 @@ class LatencyRecorder(Sequence):
         lo, hi = min(latencies()), max(latencies())
         # Nearest ranks ceil(pct * n / 100), 1-based, in integers.
         p50, p99 = -(-50 * n // 100), -(-99 * n // 100)
-        at = _select_ranks(latencies, lo, hi, (p50, p99))
         return RunSummary(
             count=n,
             min=lo,
             max=hi,
             mean=sum(latencies()) / n,
-            p50=at[p50],
-            p99=at[p99],
+            p50=_select_rank(latencies, lo, hi, p50),
+            p99=_select_rank(latencies, lo, hi, p99),
         )
 
 

@@ -48,7 +48,12 @@ def near(*points):
     return st.sampled_from(points).flatmap(lambda p: st.integers(p - 1, p + 1))
 
 
-# The fields the actors take, drawn around the bounds validate_config checks.
+# A float, a bool and a str: validate_config rejects each of them in a field
+# that takes an int, and the first and last in jammer_enabled.
+wrong_type = st.sampled_from([2.5, True, "8"])
+
+# The fields the actors take, drawn around the bounds validate_config checks;
+# actor_overrides also draws each of them of the wrong type.
 ACTOR_FIELDS = {
     "can_bitrate": near(0, 1_000_000),
     "can_stuffing_model": st.sampled_from(STUFFING_MODELS + ("bogus",)),
@@ -71,12 +76,12 @@ ACTOR_FIELDS = {
 }
 # At most four fields move at once, so most draws pass every other check.
 actor_overrides = st.sets(st.sampled_from(sorted(ACTOR_FIELDS)), max_size=4).flatmap(
-    lambda names: st.fixed_dictionaries({name: ACTOR_FIELDS[name] for name in names})
+    lambda names: st.fixed_dictionaries({name: ACTOR_FIELDS[name] | wrong_type for name in names})
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.booleans(), actor_overrides)
+@given(st.booleans() | wrong_type, actor_overrides)
 def test_validate_config_is_the_one_check_on_actor_values(jammer_enabled, overrides):
     cfg = ScenarioConfig()._replace(jammer_enabled=jammer_enabled, **overrides)
     try:

@@ -69,8 +69,9 @@ def test_can_heavy_run_keeps_no_object_per_record():
 
 
 # summarize keeps no copy of the series: its extra memory is the counts of
-# at most 2**12 + 1 histogram buckets per open window (about 300 kB when the
-# latencies fill every bucket), whatever the number of records.
+# at most 2**12 + 1 histogram buckets over the one window a pass narrows
+# (about 300 kB when the latencies fill every bucket), whatever the number
+# of records.
 SUMMARIZE_PEAK_BOUND = 512 * 1024
 SUMMARIZE_PEAK_SLACK = 16 * 1024
 

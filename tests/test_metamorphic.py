@@ -5,7 +5,7 @@ import pytest
 
 from canavbsim.metrics import export_csv, read_csv
 from canavbsim.config import ScenarioConfig, arm_config
-from canavbsim.scenario import run_scenario
+from canavbsim.scenario import build_network, run_scenario
 
 # Wire time at 100 Mbps of the one frame a nature arm sends per CAN message:
 # a 46-byte payload with 14 header, 4 FCS, 8 preamble and 12 gap bytes is
@@ -66,3 +66,62 @@ def test_nature_arm_ignores_the_seed(arm, tmp_path):
     records = read_csv(tmp_path / "0.csv")
     assert [r.created_at for r in records] == [3_000_000 * i for i in range(34)]
     assert {r.latency for r in records} == {NATURE_LATENCY_NS[arm]}
+
+
+def scaled_twice(cfg: ScenarioConfig) -> ScenarioConfig:
+    """cfg with every duration doubled and every rate halved."""
+    assert cfg.jammer_link_rate is None
+    for rate in (cfg.can_bitrate, cfg.eth_rate, cfg.idle_slope):
+        assert rate % 2 == 0
+    return cfg._replace(
+        duration=2 * cfg.duration,
+        sender_period=2 * cfg.sender_period,
+        sender_start=2 * cfg.sender_start,
+        gw_pack_period=2 * cfg.gw_pack_period,
+        forwarding_latency=2 * cfg.forwarding_latency,
+        jammer_period_lo=2 * cfg.jammer_period_lo,
+        jammer_period_hi=2 * cfg.jammer_period_hi,
+        can_bitrate=cfg.can_bitrate // 2,
+        eth_rate=cfg.eth_rate // 2,
+        idle_slope=cfg.idle_slope // 2,
+    )
+
+
+def run_counting_wakeups(cfg: ScenarioConfig) -> tuple[dict[int, int], int]:
+    """Each delivered message's latency by seq, and the credit_ready count."""
+    net = build_network(cfg)
+    kinds = []
+    net.sim.trace = lambda ev: kinds.append(ev.kind)
+    net.run()
+    return {r.seq: r.latency for r in net.recorder}, kinds.count("credit_ready")
+
+
+# A random jammer gap range does not scale draw for draw: a gap drawn from
+# the doubled range is not twice the gap drawn from the original one.  The
+# jam cases therefore use a constant gap, and random ranges are left out.
+CONSTANT_GAP = {"jammer_period_lo": 20_000, "jammer_period_hi": 20_000}
+
+
+@pytest.mark.parametrize(
+    "arm,overrides,records,gated",
+    [
+        ("AVB_nature", {}, 34, False),
+        ("Eth_nature", {}, 34, False),
+        ("AVB_jam", CONSTANT_GAP, 34, False),
+        ("Eth_jam", CONSTANT_GAP, 6, False),
+        # A 120 us sender outruns a 1 Mbps idle slope: AVB frames wait for
+        # credit_ready wakeups, whose times scale too.
+        ("AVB_nature", {"sender_period": 120_000, "idle_slope": 1_000_000}, 395, True),
+    ],
+    ids=["AVB_nature", "Eth_nature", "AVB_jam", "Eth_jam", "AVB_nature-gated"],
+)
+def test_doubling_every_time_and_halving_every_rate_doubles_every_latency(
+    arm, overrides, records, gated
+):
+    cfg = arm_config(ScenarioConfig(seed=42, duration=100_000_000, **overrides), arm)
+    before, wakeups = run_counting_wakeups(cfg)
+    after, scaled_wakeups = run_counting_wakeups(scaled_twice(cfg))
+    assert len(before) == records
+    assert (wakeups > 0) == gated
+    assert scaled_wakeups == wakeups
+    assert after == {seq: 2 * latency for seq, latency in before.items()}

@@ -207,6 +207,28 @@ def test_every_bounded_value_is_checked_at_both_ends(spec):
             validate_config(base._replace(**{spec.field: bad}))
 
 
+def wrong_types(spec):
+    """Values spec's row rejects: for jammer_enabled an int, a str and None;
+    for every other row a float, a bool and a str (none of them a stuffing
+    model name), and None too where the default is not None."""
+    if spec.field == "jammer_enabled":
+        return (0, "false", None)
+    wrong = (2.5, True, "8")
+    return wrong if spec.default is None else wrong + (None,)
+
+
+@pytest.mark.parametrize("spec", CONFIG_KEYS, ids=lambda spec: spec.key)
+def test_every_value_is_checked_for_its_type(spec):
+    base = ScenarioConfig()
+    if spec.field == "out_dir":  # any path
+        for path in ("results", Path("results")):
+            validate_config(base._replace(out_dir=path))
+        return
+    for value in wrong_types(spec):
+        with pytest.raises(ValidationError, match=f"^{re.escape(spec.key)} must be "):
+            validate_config(base._replace(**{spec.field: value}))
+
+
 def test_unknown_key_rejected_with_line_number():
     with pytest.raises(ValidationError, match="line 2"):
         parse_config("sim.seed = 1\nsim.sed = 2\n")
