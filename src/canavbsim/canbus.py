@@ -79,7 +79,8 @@ class CanBus:
 
     Each node has a FIFO transmit queue; only the head message takes part in
     arbitration.  On completion the frame is delivered to every *other*
-    attached node's receive callback, in attach order.
+    attached node's receive callback, in attach order.  Delivery walks the
+    callback dict, so an attach from inside a callback raises RuntimeError.
     """
 
     def __init__(
@@ -99,8 +100,6 @@ class CanBus:
         self.overflows: dict[str, int] = {}
         self._queues: dict[str, deque[CanMessage]] = {}
         self._callbacks: dict[str, Callable[[CanMessage, int], None] | None] = {}
-        # source node -> the receive callbacks of every other node, in attach order
-        self._receivers: dict[str, list[Callable[[CanMessage, int], None]]] = {}
         self._queued = 0  # messages in the node queues plus the one on the wire
         self._transmitting: CanMessage | None = None
         self._frame_times: dict[int, int] = {}  # dlc -> can_frame_time on this bus
@@ -113,16 +112,6 @@ class CanBus:
         self._queues[node_id] = deque()
         self.overflows[node_id] = 0
         self._callbacks[node_id] = on_receive
-        # Rebuilt per attach (a bus has a handful of nodes), so delivery
-        # needs no per-frame test of the source.
-        self._receivers = {
-            source: [
-                receive
-                for node, receive in self._callbacks.items()
-                if node != source and receive is not None
-            ]
-            for source in self._callbacks
-        }
 
     def transmit_request(self, msg: CanMessage) -> bool:
         """Queue msg at its source node; returns False if the node cap dropped it."""
@@ -183,8 +172,10 @@ class CanBus:
         msg = self._transmitting
         self._transmitting = None
         self._queued -= 1
-        for receive in self._receivers[msg.source]:
-            receive(msg, now)
+        source = msg.source
+        for node, receive in self._callbacks.items():
+            if receive is not None and node != source:
+                receive(msg, now)
         # Receivers may have queued replies at this same instant; arbitrate
         # among everything pending now.
         self._schedule_arbitration()

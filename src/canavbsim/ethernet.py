@@ -207,10 +207,7 @@ class EgressPort:
             if self.on_drop is not None:
                 self.on_drop(frame)
             return False
-        if frame is q.tail:  # the common case, inlined: one more of the tail run
-            q.depth += 1
-        else:
-            q.append(frame)
+        q.append(frame)
         if self.depth_trace is not None:
             self.depth_trace((now, self.name, avb_q.depth, be_q.depth, self.credit))
         # A busy link picks its next frame at tx_complete.

@@ -3,7 +3,46 @@
 import pytest
 
 from canavbsim.config import ScenarioConfig
+from canavbsim.core import Simulator
 from canavbsim.scenario import run_experiment_suite
+
+# More events than this at one nanosecond is a run looping at one instant,
+# which never reaches its horizon; the most any test here dispatches at one
+# nanosecond is 28.
+MAX_EVENTS_AT_ONE_NS = 10_000
+
+
+@pytest.fixture(scope="session", autouse=True)
+def fail_runs_that_loop_at_one_instant():
+    """Wrap every Simulator.run_until so that a run dispatching more than
+    MAX_EVENTS_AT_ONE_NS events at one nanosecond fails with AssertionError
+    instead of hanging the suite.  Any trace already set still sees every
+    event, and is restored when the call returns."""
+    run_until = Simulator.run_until
+
+    def guarded(sim, t_end):
+        inner = sim.trace
+        at, n = None, 0
+
+        def trace(ev):
+            nonlocal at, n
+            if ev[0] != at:
+                at, n = ev[0], 0
+            n += 1
+            if n > MAX_EVENTS_AT_ONE_NS:
+                raise AssertionError(f"more than {MAX_EVENTS_AT_ONE_NS} events at {at} ns; the last: {ev}")
+            if inner is not None:
+                inner(ev)
+
+        sim.trace = trace
+        try:
+            return run_until(sim, t_end)
+        finally:
+            sim.trace = inner
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulator, "run_until", guarded)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """CAN bus tests: frame timing, arbitration, broadcast delivery, FIFO."""
 
 import random
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,13 +293,22 @@ def test_queued_count_and_delivery_under_random_contention(plan):
     cap, nodes = plan
     sim = Simulator()
     bus = CanBus(sim, node_queue_cap=cap)
-    heard = {}  # receiving node -> payloads heard, in order
+    heard = {}  # receiving node -> payloads heard, in order; keys in attach order
+    calls = []  # (payload, receiving node) per receive callback, in call order
     requests = []  # (source, message)
+
+    def receiver(node):
+        def receive(m, t):
+            heard[node].append(m.payload)
+            calls.append((m.payload, node))
+
+        return receive
+
     for k, (listens, plan_k) in enumerate(nodes):
         name = f"n{k}"
         if listens:
             heard[name] = []
-            bus.attach(name, lambda m, t, n=name: heard[n].append(m.payload))
+            bus.attach(name, receiver(name))
         else:
             bus.attach(name)
         for slot, offset in plan_k:
@@ -330,3 +341,6 @@ def test_queued_count_and_delivery_under_random_contention(plan):
     # Every frame reaches exactly the other receiving nodes, once each.
     for node, payloads in heard.items():
         assert sorted(payloads) == sorted(p for p, source in accepted.items() if source != node)
+    # Each frame's callbacks run back to back, in attach order, skipping its source.
+    for payload, group in groupby(calls, key=itemgetter(0)):
+        assert [node for _, node in group] == [n for n in heard if n != accepted[payload]]

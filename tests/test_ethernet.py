@@ -1,6 +1,7 @@
 """Ethernet/AVB tests: wire times, credit shaper, selection, forwarding."""
 
 from collections import deque
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,27 @@ from canavbsim.ethernet import (
 from canavbsim.wire import AVB_PCP
 
 RATE = 100_000_000
+# Events one frame can cause at one hop: the event that brings it (a driver
+# event or a switch's reception), the forward, its tx_complete, and at most
+# one credit_ready, since a wakeup that fires starts the AVB frame it waited for.
+EVENTS_PER_FRAME = 4
+
+
+def budgeted(sim, most, then=None):
+    """Set sim's trace to fail the case once more than ``most`` events have
+    dispatched, and return sim: a shaper that keeps re-firing
+    ``credit_ready`` at one instant never reaches the horizon, so it must
+    fail, not hang.  ``then``, if given, still receives every event."""
+    dispatched = count(1)
+
+    def trace(ev):
+        if next(dispatched) > most:
+            raise AssertionError(f"more than {most} events dispatched; the last: {ev}")
+        if then is not None:
+            then(ev)
+
+    sim.trace = trace
+    return sim
 
 
 def frame(pcp=0, payload_len=46):
@@ -52,8 +74,9 @@ class Sink:
 
 
 def shaped_port(idle_slope=20_000_000):
-    """An idle 100 Mbps port and its simulator; frames are enqueued directly."""
-    sim = Simulator()
+    """An idle 100 Mbps port and its simulator, budgeted for the two frames
+    its callers enqueue at most; frames are enqueued directly."""
+    sim = budgeted(Simulator(), EVENTS_PER_FRAME * 2)
     return sim, EgressPort(sim, "p", RATE, idle_slope, peer=Sink())
 
 
@@ -233,7 +256,7 @@ def test_classification_is_total():
 
 
 def test_switch_forward_classifies_and_delays():
-    sim = Simulator()
+    sim = budgeted(Simulator(), EVENTS_PER_FRAME * 2)
     sink = Sink()
     port = EgressPort(sim, "port:sw1->listener", RATE, 20_000_000, peer=sink)
     sw = Switch(sim, "sw1", forwarding_latency=5_000, egress=port)
@@ -249,7 +272,7 @@ def test_switch_forward_classifies_and_delays():
 def test_store_and_forward_chain_latency():
     # gw port -> sw1 (5us) -> sw2 (5us) -> listener, minimal tagged frames:
     # 3 * 7.04us wire + 2 * 5us forwarding = 31.12us end to end.
-    sim = Simulator()
+    sim = budgeted(Simulator(), EVENTS_PER_FRAME * 3)  # one frame, three hops
     sink = Sink()
     p2 = EgressPort(sim, "port:sw2->listener", RATE, 20_000_000, peer=sink)
     sw2 = Switch(sim, "sw2", 5_000, p2)
@@ -275,13 +298,12 @@ def tie_chain(receptions):
     """sw1 (5 us forwarding) and its egress port to a sink.  sw1 receives each
     (time_ns, frame) of receptions, in list order at equal times; every event
     and every transmission start is logged."""
-    sim = Simulator()
+    traced = []
+    sim = budgeted(Simulator(), EVENTS_PER_FRAME * len(receptions), then=traced.append)
     sink = Sink()
     port = EgressPort(sim, "port:sw1->sw2", RATE, 20_000_000, peer=sink)
     port.tx_log = []
     sw1 = Switch(sim, "sw1", 5_000, port)
-    traced = []
-    sim.trace = traced.append
     sim.register("drv", lambda ev: sw1.on_frame_received(frames.pop(ev.seq), ev.fire_at))
     frames = {sim.schedule("drv", "rx", at).seq: fr for at, fr in receptions}
     return sim, port, sink, traced
@@ -321,10 +343,10 @@ def test_forwards_at_the_same_nanosecond_enqueue_in_reception_order(can_first):
 
 
 def test_fifo_within_class():
-    sim = Simulator()
+    frames = [frame(pcp=0) for _ in range(5)]
+    sim = budgeted(Simulator(), EVENTS_PER_FRAME * len(frames))
     sink = Sink()
     port = EgressPort(sim, "p", RATE, 20_000_000, peer=sink)
-    frames = [frame(pcp=0) for _ in range(5)]
 
     def drv(ev):
         for fr in frames:
@@ -337,7 +359,7 @@ def test_fifo_within_class():
 
 
 def test_tail_drop_when_capped():
-    sim = Simulator()
+    sim = budgeted(Simulator(), EVENTS_PER_FRAME * 5)
     port = EgressPort(sim, "p", RATE, 20_000_000, peer=Sink(), be_cap=2)
     dropped = []
     port.on_drop = dropped.append
@@ -375,6 +397,10 @@ class SaturatedPortHarness:
         self.sim.schedule("drv", "fill", ev.fire_at + 1_000_000)
 
     def run(self, duration):
+        # At most one frame per shortest wire time starts; each costs at most
+        # EVENTS_PER_FRAME events, which also covers one fill per millisecond.
+        shortest = eth_wire_time(min(self.avb_payload, self.be_payload), False, RATE)
+        budgeted(self.sim, EVENTS_PER_FRAME * (duration // shortest + 1))
         self.sim.schedule("drv", "fill", 0)
         self.sim.run_until(duration)
 
@@ -417,11 +443,10 @@ def test_no_starvation_and_work_conservation_when_saturated():
 def gated_port(arrivals):
     """One 100 Mbps port with a 20 Mbps idle slope, fed 1500-byte frames of
     the given (time_ns, pcp) by a driver entity; every event is traced."""
-    sim = Simulator()
+    traced = []
+    sim = budgeted(Simulator(), EVENTS_PER_FRAME * len(arrivals), then=traced.append)
     sink = Sink()
     port = EgressPort(sim, "p", RATE, 20_000_000, peer=sink)
-    traced = []
-    sim.trace = traced.append
     sim.register("drv", lambda ev: port.enqueue(frames.pop(ev.seq), ev.fire_at))
     frames = {sim.schedule("drv", "send", at).seq: frame(pcp, 1500) for at, pcp in arrivals}
     return sim, port, sink, traced
@@ -462,7 +487,7 @@ def run_arrivals(idle_slope, arrivals, tail, observed):
     """Feed (gap_ns, pcp, payload_len) arrivals to one 100 Mbps port and run
     tail ns past the last; returns its tx_log, the event count, and the
     credit brought up to the horizon."""
-    sim = Simulator()
+    sim = budgeted(Simulator(), EVENTS_PER_FRAME * len(arrivals))
     port = EgressPort(sim, "p", RATE, idle_slope, peer=Sink())
     port.tx_log = []
     if observed:
@@ -527,7 +552,7 @@ class EagerCreditPort(EgressPort):
 def depth_rows(port_cls, idle_slope, arrivals, tail, avb_cap, be_cap):
     """Feed (gap_ns, pcp, payload_len) arrivals to one 100 Mbps port of
     port_cls; returns its depth_trace rows, its tx_log and its drops."""
-    sim = Simulator()
+    sim = budgeted(Simulator(), EVENTS_PER_FRAME * len(arrivals))
     port = port_cls(sim, "p", RATE, idle_slope, peer=Sink(), avb_cap=avb_cap, be_cap=be_cap)
     rows = []
     port.depth_trace = rows.append
@@ -603,7 +628,7 @@ def test_depth_row_logs_the_positive_credit_at_an_avb_tx_complete():
 
 
 def test_credit_reset_invariant_after_drain():
-    sim = Simulator()
+    sim = budgeted(Simulator(), EVENTS_PER_FRAME)
     sink = Sink()
     port = EgressPort(sim, "p", RATE, 20_000_000, peer=sink)
     sim.register("drv", lambda ev: port.enqueue(frame(pcp=AVB_PCP), ev.fire_at))
@@ -628,11 +653,11 @@ def test_frame_conservation_counters():
 def test_cached_wire_costs_match_wire_bits_and_eth_wire_time():
     # AVB (tagged) and best-effort (untagged) frames of one payload_len must
     # not share a cached cost; neither may frames of different lengths.
-    sim = Simulator()
+    lengths = [100, 100, 46, 1500, 100, 46, 1500, 100]
+    sim = budgeted(Simulator(), EVENTS_PER_FRAME * len(lengths))
     sink = Sink()
     port = EgressPort(sim, "p", RATE, 75_000_000, peer=sink)
     port.tx_log = []
-    lengths = [100, 100, 46, 1500, 100, 46, 1500, 100]
     for i, payload_len in enumerate(lengths):
         port.enqueue(frame(pcp=AVB_PCP if i % 2 else 0, payload_len=payload_len), 0)
     sim.run_until(10_000_000)

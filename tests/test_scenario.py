@@ -513,10 +513,13 @@ def test_bench_spans_and_workload_still_fit_the_simulator(tmp_path):
     # classes and functions, and workload.py reads results and network state.
     # Run its logged jam workload for 50 ms in a fresh interpreter, so the
     # rebinding stays out of this process, and without writing bytecode.
+    # conftest's same-instant guard does not reach that interpreter, so a
+    # run looping at one instant there ends at the timeout: about a second
+    # of work, given 20 s.
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-B", "-c", BENCH_SMOKE, str(tmp_path)],
-        cwd=root, capture_output=True, text=True, timeout=120,
+        cwd=root, capture_output=True, text=True, timeout=20,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
