@@ -2,8 +2,6 @@
 
 from .config import ARMS, ScenarioConfig, arm_config, load_config, parse_config
 
-__version__ = "0.1.0"
-
 __all__ = [
     "ARMS",
     "ScenarioConfig",

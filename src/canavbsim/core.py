@@ -49,11 +49,10 @@ class Event(NamedTuple):
 
 
 class RunStats(NamedTuple):
-    """Result of a run_until call.  ``events_dispatched`` counts every event
-    the simulator has dispatched, over all calls."""
+    """Result of a run_until call: every event dispatched over all calls.
+    The clock after the call is ``Simulator.now``."""
 
     events_dispatched: int
-    clock: int
 
 
 class Simulator:
@@ -129,7 +128,7 @@ class Simulator:
             self._dispatched = dispatched
         if t_end > self.now:
             self.now = t_end
-        return RunStats(self._dispatched, self.now)
+        return RunStats(self._dispatched)
 
 
 def stream_rng(master_seed: int, stream_id: str) -> random.Random:

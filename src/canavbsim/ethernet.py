@@ -19,7 +19,6 @@ from typing import Any, Callable, Iterator, NamedTuple
 from .core import Event, SimulationError, Simulator
 from .wire import (
     AVB_PCP,
-    ETHERTYPE_FILLER,
     FCS_BYTES,
     HEADER_BYTES,
     IFG_BYTES,
@@ -46,22 +45,20 @@ def eth_wire_time(payload_len: int, tagged: bool, rate: int) -> int:
 
 
 class EthFrame(NamedTuple):
-    """A tagged Ethernet frame; payload may be a packed-CAN byte string.
-
-    ``payload_len`` is the padded on-wire payload size; ``payload`` holds
-    only the meaningful bytes (padding never reaches the decoder, as on a
-    real MAC where the length field strips it).  Frames are immutable, so
-    one object may sit in several queues at once: the jamming talker sends
-    the same filler frame on every tick.  Frames compare by value, but a
-    ``RunFifo`` tells them apart by identity.  Fields are not checked here:
-    ``validate_config`` bounds the filler's pcp and size and the gateway's
-    MTU, and the gateway never packs past that MTU.
+    """A tagged Ethernet frame.  ``payload_len`` is the padded on-wire payload
+    size; ``payload`` holds only the meaningful bytes (padding never reaches
+    the decoder, as on a real MAC where the length field strips it): packed
+    CAN records, or none in a filler, so a non-empty payload marks a CAN
+    frame.  Frames are immutable, so one object may sit in several queues at
+    once: the jamming talker sends the same filler frame on every tick.
+    Frames compare by value, but a ``RunFifo`` tells them apart by identity.
+    Fields are not checked here: ``validate_config`` bounds the filler's pcp
+    and size and the gateway's MTU, and the gateway never packs past that MTU.
     """
 
     pcp: int
     payload_len: int
     payload: bytes = b""
-    ethertype: int = ETHERTYPE_FILLER
 
 
 class RunFifo:

@@ -12,7 +12,6 @@ from .wire import (
     CAN_MAX_ID,
     COUNT_SIZE,
     COUNT_STRUCT,
-    ETHERTYPE_CAN_TUNNEL,
     MIN_PAYLOAD,
     RECORD_OVERHEAD,
     RECORD_STRUCT,
@@ -126,6 +125,5 @@ class Gateway:
                 pcp=self.class_for_can,
                 payload_len=max(MIN_PAYLOAD, len(payload)),
                 payload=payload,
-                ethertype=ETHERTYPE_CAN_TUNNEL,
             ), now)
         self.sim.schedule(self.name, "pack", now + self.pack_period)

@@ -15,7 +15,7 @@ from .ethernet import EgressPort, EthFrame, Switch
 from .gateway import Gateway, record_count
 from .metrics import ROWS_PER_WRITE, LatencyRecorder, RunSummary, export_csv, write_rows
 from .traffic import JammingTalker, Listener, PeriodicCanSender
-from .wire import ETHERTYPE_CAN_TUNNEL, filler_payload_len
+from .wire import filler_payload_len
 
 # Trace rows buffered between two writes, over both trace files.
 TRACE_ROW_BUDGET = ROWS_PER_WRITE
@@ -135,7 +135,7 @@ class Network:
 
     @staticmethod
     def _records_in(frame: EthFrame | None) -> int:
-        if frame is None or frame.ethertype != ETHERTYPE_CAN_TUNNEL:
+        if frame is None or not frame.payload:
             return 0
         return record_count(frame.payload)
 

@@ -10,7 +10,6 @@ from .core import Event, Simulator, uniform_sampler
 from .ethernet import EthFrame
 from .gateway import decode
 from .metrics import LatencyRecorder
-from .wire import ETHERTYPE_CAN_TUNNEL
 
 
 class PeriodicCanSender:
@@ -92,8 +91,8 @@ class JammingTalker:
 
 
 class Listener:
-    """Terminal Ethernet node: decodes CAN-bearing frames straight into the
-    recorder's columns and counts everything else as jamming traffic."""
+    """Terminal Ethernet node: decodes each frame with a payload straight into
+    the recorder's columns and counts payload-less frames as jamming traffic."""
 
     def __init__(self, name: str, recorder: LatencyRecorder):
         self.name = name
@@ -105,7 +104,7 @@ class Listener:
         return len(self.recorder)
 
     def on_frame_received(self, frame: EthFrame, now: int) -> None:
-        if frame.ethertype != ETHERTYPE_CAN_TUNNEL:
+        if not frame.payload:
             self.jam_frames += 1
             return
         add = self.recorder.add

@@ -30,11 +30,6 @@ MAX_PAYLOAD = 1500
 # best-effort.  One AVB class only.
 AVB_PCP = 3
 
-# EtherType-style discriminators so the listener can tell packed-CAN frames
-# from background traffic regardless of priority class.
-ETHERTYPE_CAN_TUNNEL = 0x88B5
-ETHERTYPE_FILLER = 0x0800
-
 CAN_MAX_ID = 0x7FF
 CAN_MAX_DLC = 8
 

@@ -12,13 +12,12 @@ from canavbsim.scenario import run_experiment_suite
 MAX_EVENTS_AT_ONE_NS = 10_000
 
 
-@pytest.fixture(scope="session", autouse=True)
-def fail_runs_that_loop_at_one_instant():
-    """Wrap every Simulator.run_until so that a run dispatching more than
+def guard_one_instant(run_until):
+    """Wrap a Simulator.run_until so that a run dispatching more than
     MAX_EVENTS_AT_ONE_NS events at one nanosecond fails with AssertionError
-    instead of hanging the suite.  Any trace already set still sees every
-    event, and is restored when the call returns."""
-    run_until = Simulator.run_until
+    instead of hanging.  Any trace already set still sees every event, and
+    is restored when the call returns.  Plain, so that a fresh interpreter
+    can install it too: put ``tests`` on sys.path and import conftest."""
 
     def guarded(sim, t_end):
         inner = sim.trace
@@ -40,8 +39,14 @@ def fail_runs_that_loop_at_one_instant():
         finally:
             sim.trace = inner
 
+    return guarded
+
+
+@pytest.fixture(scope="session", autouse=True)
+def fail_runs_that_loop_at_one_instant():
+    """Install guard_one_instant on Simulator for the whole session."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Simulator, "run_until", guarded)
+        mp.setattr(Simulator, "run_until", guard_one_instant(Simulator.run_until))
         yield
 
 

@@ -214,49 +214,6 @@ def test_utilization_sanity_and_non_preemption():
     assert [m.can_id for m, _ in inboxes["a"]] == [4, 6]
 
 
-def test_random_contention_matches_brute_force_replay():
-    # Smaller cousin of the acceptance oracle: random request times and ids.
-    rng = random.Random(99)
-    for _ in range(50):
-        nodes = [f"n{i}" for i in range(rng.randint(2, 5))]
-        requests = []  # (time, node, can_id)
-        used_ids = rng.sample(range(2048), 12)
-        k = 0
-        for node in nodes:
-            for _ in range(rng.randint(1, 2)):
-                requests.append((rng.randrange(0, 300_000), node, used_ids[k]))
-                k += 1
-        requests.sort(key=lambda r: r[0])
-
-        sim = Simulator()
-        bus = CanBus(sim)
-        seen = []
-        for node in nodes:
-            bus.attach(node)
-        bus.attach("obs", lambda m, t: seen.append((m.can_id, t)))
-        for i, (t, node, can_id) in enumerate(requests):
-            sim.register(f"drv{i}", lambda ev, n=node, c=can_id: bus.transmit_request(msg(c, n, ev.fire_at)))
-            sim.schedule(f"drv{i}", "go", t)
-        sim.run_until(100_000_000)
-
-        # Brute-force replay: scan-based min-ID schedule, no event queue.
-        frame = 114_000
-        queues = {n: [] for n in nodes}
-        for t, node, can_id in requests:
-            queues[node].append((t, can_id))
-        expected, now = [], 0
-        while any(queues.values()):
-            heads = [(q[0], n) for n, q in queues.items() if q]
-            earliest = min(t for (t, _), _ in heads)
-            now = max(now, earliest)
-            ready = [(t, c, n) for (t, c), n in heads if t <= now]
-            _, c, n = min(ready, key=lambda r: r[1])
-            queues[n].pop(0)
-            now += frame
-            expected.append((c, now))
-        assert seen == expected
-
-
 @pytest.mark.parametrize("stuffing", [STUFFING_NONE, STUFFING_WORST_CASE])
 def test_cached_frame_times_match_can_frame_time(stuffing):
     # Mixed dlc 0..8, each value more than once, sent back to back.

@@ -57,7 +57,6 @@ def test_run_until_empty_queue_advances_clock():
     sim = Simulator()
     stats = sim.run_until(1_000_000_000)
     assert stats.events_dispatched == 0
-    assert stats.clock == 1_000_000_000
     assert sim.now == 1_000_000_000
 
 
@@ -67,9 +66,9 @@ def test_events_beyond_horizon_stay_queued():
     sim.register("a", collect(sim, log))
     sim.schedule("a", "early", 10)
     sim.schedule("a", "late", 2_000)
-    stats = sim.run_until(1_000)
+    sim.run_until(1_000)
     assert [k for _, _, k in log] == ["early"]
-    assert stats.clock == 1_000
+    assert sim.now == 1_000
     sim.run_until(3_000)
     assert [k for _, _, k in log] == ["early", "late"]
 

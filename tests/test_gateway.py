@@ -14,7 +14,7 @@ from canavbsim.gateway import (
 )
 from canavbsim.config import ScenarioConfig, parse_config
 from canavbsim.scenario import run_scenario
-from canavbsim.wire import AVB_PCP, ETHERTYPE_CAN_TUNNEL, MAX_PAYLOAD
+from canavbsim.wire import AVB_PCP, MAX_PAYLOAD
 
 
 def decoded_messages(payload):
@@ -164,7 +164,6 @@ def test_pack_timer_single_message_frame_shape():
     assert len(frame.payload) == 2 + 21
     assert frame.payload_len == 46  # padded to the Ethernet minimum
     assert frame.pcp == AVB_PCP
-    assert frame.ethertype == ETHERTYPE_CAN_TUNNEL
     assert decoded_messages(frame.payload) == [CanMessage(0x123, bytes(8), 100)]
 
 

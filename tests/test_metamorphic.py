@@ -4,7 +4,7 @@ checked without a second model of the network."""
 import pytest
 
 from canavbsim.metrics import export_csv, read_csv
-from canavbsim.config import ScenarioConfig, arm_config
+from canavbsim.config import ARMS, ScenarioConfig, arm_config
 from canavbsim.scenario import build_network, run_scenario
 
 # Wire time at 100 Mbps of the one frame a nature arm sends per CAN message:
@@ -125,3 +125,29 @@ def test_doubling_every_time_and_halving_every_rate_doubles_every_latency(
     assert (wakeups > 0) == gated
     assert scaled_wakeups == wakeups
     assert after == {seq: 2 * latency for seq, latency in before.items()}
+
+
+def can_deliveries(cfg: ScenarioConfig) -> list[tuple[int, bytes, int, int]]:
+    """(can_id, payload, created_at, delivery time) of every frame an extra
+    node on cfg's CAN bus hears, in order."""
+    net = build_network(cfg)
+    heard = []
+    net.bus.attach("obs", lambda m, t: heard.append((m.can_id, m.payload, m.created_at, t)))
+    net.run()
+    return heard
+
+
+@pytest.mark.parametrize("sender_period,delivered", [(None, 67), (120_000, 1_666)])
+@pytest.mark.parametrize("seed", [42, 7])
+def test_can_side_is_blind_to_the_ethernet_side(seed, sender_period, delivered):
+    # Nothing on the Ethernet side feeds back into the CAN bus, so all four
+    # arms deliver the same CAN frames at the same times.  Hand-checked over
+    # 200 ms: a 3 ms sender delivers t = 0..198 ms, and a 120 us sender
+    # (a 114 us frame, so the bus keeps up) all but the one sent at 199.92 ms.
+    base = ScenarioConfig(seed=seed, duration=200_000_000)
+    if sender_period is not None:
+        base = base._replace(sender_period=sender_period)
+    heard = {arm: can_deliveries(arm_config(base, arm)) for arm in ARMS}
+    assert len(heard["AVB_nature"]) == delivered
+    for arm in ARMS:
+        assert heard[arm] == heard["AVB_nature"], arm

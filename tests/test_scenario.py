@@ -486,9 +486,11 @@ def test_every_handler_owner_has_a_bench_layer():
 BENCH_SMOKE = """
 import json, sys
 from pathlib import Path
-sys.path[:0] = ["bench", "src"]
-import spans, workload
-from canavbsim import scenario
+sys.path[:0] = ["bench", "src", "tests"]
+import conftest, spans, workload
+from canavbsim import core, scenario
+
+core.Simulator.run_until = conftest.guard_one_instant(core.Simulator.run_until)
 
 tracer = spans.Tracer()
 spans.install(tracer)
@@ -513,9 +515,9 @@ def test_bench_spans_and_workload_still_fit_the_simulator(tmp_path):
     # classes and functions, and workload.py reads results and network state.
     # Run its logged jam workload for 50 ms in a fresh interpreter, so the
     # rebinding stays out of this process, and without writing bytecode.
-    # conftest's same-instant guard does not reach that interpreter, so a
-    # run looping at one instant there ends at the timeout: about a second
-    # of work, given 20 s.
+    # That interpreter installs conftest's same-instant guard itself, so a
+    # run looping at one instant there fails at once; the 20 s timeout only
+    # backs it up, for about a second of work.
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-B", "-c", BENCH_SMOKE, str(tmp_path)],

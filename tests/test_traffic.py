@@ -9,7 +9,7 @@ from canavbsim.gateway import MalformedPayload, pack
 from canavbsim.metrics import LatencyRecord, LatencyRecorder, MetricsError
 from canavbsim.config import ScenarioConfig
 from canavbsim.traffic import JammingTalker, Listener, PeriodicCanSender
-from canavbsim.wire import ETHERTYPE_CAN_TUNNEL, filler_payload_len
+from canavbsim.wire import filler_payload_len
 
 REF = ScenarioConfig()  # the reference scenario's actor settings
 
@@ -114,10 +114,7 @@ def test_jammer_with_finite_link_saturates_its_egress():
 
 def can_frame(messages, pcp=3):
     payload = pack(messages)
-    return EthFrame(
-        pcp=pcp, payload_len=max(46, len(payload)), payload=payload,
-        ethertype=ETHERTYPE_CAN_TUNNEL,
-    )
+    return EthFrame(pcp=pcp, payload_len=max(46, len(payload)), payload=payload)
 
 
 def test_listener_single_record_latency_definition():
@@ -151,10 +148,7 @@ def test_listener_counts_jam_frames():
 
 def test_listener_propagates_malformed_payload():
     listener = Listener("listener", LatencyRecorder())
-    bad = EthFrame(
-        pcp=3, payload_len=46,
-        payload=b"\x05\x00garbage", ethertype=ETHERTYPE_CAN_TUNNEL,
-    )
+    bad = EthFrame(pcp=3, payload_len=46, payload=b"\x05\x00garbage")
     with pytest.raises(MalformedPayload):
         listener.on_frame_received(bad, 1_000)
 
