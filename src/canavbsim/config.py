@@ -46,11 +46,7 @@ class ConfigError(SimulationError):
 
 
 class ParseError(ConfigError):
-    """Malformed config syntax; carries the offending line number."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+    """Malformed config syntax; the message names the offending line."""
 
 
 class ValidationError(ConfigError):
@@ -294,16 +290,16 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ParseError(lineno, f"unterminated section header {line!r}")
+                raise ParseError(f"line {lineno}: unterminated section header {line!r}")
             section = line[1:-1].strip()
             if not section:
-                raise ParseError(lineno, "empty section name")
+                raise ParseError(f"line {lineno}: empty section name")
             continue
         if "=" not in line:
-            raise ParseError(lineno, f"expected key=value, got {line!r}")
+            raise ParseError(f"line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
-            raise ParseError(lineno, "missing key before '='")
+            raise ParseError(f"line {lineno}: missing key before '='")
         full_key = f"{section}.{key}" if section else key
         spec = _ROWS_BY_KEY.get(full_key)
         if spec is None:

@@ -73,18 +73,6 @@ def test_events_beyond_horizon_stay_queued():
     assert [k for _, _, k in log] == ["early", "late"]
 
 
-def test_cancelled_event_not_dispatched():
-    sim = Simulator()
-    log = []
-    sim.register("a", collect(sim, log))
-    keep = sim.schedule("a", "keep", 10)
-    drop = sim.schedule("a", "drop", 10)
-    sim.cancel(drop)
-    stats = sim.run_until(100)
-    assert [k for _, _, k in log] == ["keep"]
-    assert stats.events_dispatched == 1
-
-
 def test_cancelled_event_neither_dispatched_nor_counted():
     sim = Simulator()
     log = []
@@ -273,52 +261,27 @@ def test_trace_lines_match_dispatch_order():
     assert rows == [(5, 0, "a", "x"), (5, 1, "a", "y")]
 
 
-def test_uniform_draw_degenerate_range():
-    draw = uniform_sampler(random.Random(1), 5_000, 5_000)
-    assert all(draw() == 5_000 for _ in range(100))
-
-
-def test_uniform_draw_invalid_range():
-    with pytest.raises(InvalidRange):
-        uniform_sampler(random.Random(1), 25_000, 1_000)
-
-
-def test_uniform_draw_mean_matches_analytic():
-    # Law of large numbers against the analytic mean (lo + hi) / 2 = 13 us.
-    draw = uniform_sampler(stream_rng(42, "talker"), 1_000, 25_000)
-    n = 1_000_000
-    total = sum(draw() for _ in range(n))
-    assert abs(total / n - 13_000) < 100
-
-
-def test_uniform_draw_bounds_inclusive():
-    draw = uniform_sampler(random.Random(7), 1, 3)
-    draws = [draw() for _ in range(1_000)]
-    assert set(draws) == {1, 2, 3}
-
-
-@pytest.mark.parametrize("lo, hi", [(1_000, 25_000), (5, 5), (0, 2**32 - 1), (0, 2**32)])
-def test_uniform_draw_matches_randint_draw_for_draw(lo, hi):
-    # The golden outputs rest on this: one draw from a freshly built sampler
-    # must consume and return exactly what Random.randint does on this
-    # interpreter, so building a sampler draws nothing from the stream.
-    for seed in (0, 1, 42):
-        rng, ref = random.Random(seed), random.Random(seed)
-        assert [uniform_sampler(rng, lo, hi)() for _ in range(100_000)] == [
-            ref.randint(lo, hi) for _ in range(100_000)
-        ]
-        assert rng.getstate() == ref.getstate()
-
-
-@pytest.mark.parametrize("lo, hi", [(1_000, 25_000), (5, 5), (0, 2**32 - 1), (0, 2**32)])
+@pytest.mark.parametrize("lo, hi", [(1_000, 25_000), (5, 5), (1, 3), (0, 2**32 - 1), (0, 2**32)])
 def test_uniform_sampler_matches_randint_draw_for_draw(lo, hi):
-    # A sampler built once must consume and return exactly what
-    # Random.randint does on this interpreter.
+    # The golden outputs rest on this: a sampler must consume and return
+    # exactly what Random.randint does on this interpreter.
     for seed in (0, 1, 42):
         rng, ref = random.Random(seed), random.Random(seed)
         draw = uniform_sampler(rng, lo, hi)
         assert [draw() for _ in range(100_000)] == [ref.randint(lo, hi) for _ in range(100_000)]
         assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("lo, hi", [(1_000, 25_000), (5, 5), (0, 2**32 - 1), (0, 2**32)])
+def test_uniform_draw_matches_randint_draw_for_draw(lo, hi):
+    # Building a sampler, even mid-stream, draws nothing from the stream, and
+    # its first draw is what Random.randint returns next.
+    for seed in (0, 1, 42):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(1_000):
+            draw = uniform_sampler(rng, lo, hi)
+            assert rng.getstate() == ref.getstate()
+            assert draw() == ref.randint(lo, hi)
 
 
 def test_uniform_sampler_rejects_an_invalid_range_when_built():

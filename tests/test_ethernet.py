@@ -483,25 +483,25 @@ def test_best_effort_frame_cancels_the_pending_wakeup():
     assert stats.events_dispatched == len(traced) == 7
 
 
-def run_arrivals(idle_slope, arrivals, tail, observed):
-    """Feed (gap_ns, pcp, payload_len) arrivals to one 100 Mbps port and run
-    tail ns past the last; returns its tx_log, the event count, and the
-    credit brought up to the horizon."""
+def fed_port(
+    arrivals, tail, idle_slope=20_000_000, port_cls=EgressPort, avb_cap=None, be_cap=None, rows=None
+):
+    """Feed (gap_ns, pcp, payload_len) arrivals to one 100 Mbps port of
+    port_cls and run tail ns past the last, with the port's tx_log on and,
+    if rows is a list, its depth_trace rows appended there.  Returns the
+    port and the run's stats."""
     sim = budgeted(Simulator(), EVENTS_PER_FRAME * len(arrivals))
-    port = EgressPort(sim, "p", RATE, idle_slope, peer=Sink())
+    port = port_cls(sim, "p", RATE, idle_slope, peer=Sink(), avb_cap=avb_cap, be_cap=be_cap)
     port.tx_log = []
-    if observed:
-        port.depth_trace = lambda *row: None
+    if rows is not None:
+        port.depth_trace = rows.append
     frames = {}
     sim.register("drv", lambda ev: port.enqueue(frames.pop(ev.seq), ev.fire_at))
     at = 0
     for gap, pcp, payload_len in arrivals:
         at += gap
         frames[sim.schedule("drv", "send", at).seq] = frame(pcp, payload_len)
-    horizon = at + tail
-    stats = sim.run_until(horizon)
-    port._update_credit(horizon)
-    return port.tx_log, stats.events_dispatched, port.credit
+    return port, sim.run_until(at + tail)
 
 
 arrival_lists = st.lists(
@@ -523,10 +523,14 @@ arrival_lists = st.lists(
 def test_credit_is_the_same_whether_or_not_it_is_observed(idle_slope, arrivals, tail):
     # With a depth_trace set the port brings the credit up to date at every
     # arrival, start and end of transmission; without one it skips the
-    # updates where the slope stays fixed.  Both must agree exactly.
-    assert run_arrivals(idle_slope, arrivals, tail, observed=True) == run_arrivals(
-        idle_slope, arrivals, tail, observed=False
-    )
+    # updates where the slope stays fixed.  Both must agree exactly, on the
+    # credit brought up to the horizon too.
+    runs = []
+    for rows in ([], None):
+        port, stats = fed_port(arrivals, tail, idle_slope, rows=rows)
+        port._update_credit(port.sim.now)
+        runs.append((port.tx_log, stats.events_dispatched, port.credit))
+    assert runs[0] == runs[1]
 
 
 class EagerCreditPort(EgressPort):
@@ -547,24 +551,6 @@ class EagerCreditPort(EgressPort):
         if ev.kind == "tx_complete":
             self._update_credit(ev.fire_at)
         super()._handle(ev)
-
-
-def depth_rows(port_cls, idle_slope, arrivals, tail, avb_cap, be_cap):
-    """Feed (gap_ns, pcp, payload_len) arrivals to one 100 Mbps port of
-    port_cls; returns its depth_trace rows, its tx_log and its drops."""
-    sim = budgeted(Simulator(), EVENTS_PER_FRAME * len(arrivals))
-    port = port_cls(sim, "p", RATE, idle_slope, peer=Sink(), avb_cap=avb_cap, be_cap=be_cap)
-    rows = []
-    port.depth_trace = rows.append
-    port.tx_log = []
-    frames = {}
-    sim.register("drv", lambda ev: port.enqueue(frames.pop(ev.seq), ev.fire_at))
-    at = 0
-    for gap, pcp, payload_len in arrivals:
-        at += gap
-        frames[sim.schedule("drv", "send", at).seq] = frame(pcp, payload_len)
-    sim.run_until(at + tail)
-    return rows, port.tx_log, port.dropped
 
 
 @settings(deadline=None)
@@ -600,9 +586,12 @@ def test_depth_rows_match_an_eager_credit_update_schedule(
 ):
     # Every row, credit column included, must equal the row of a port that
     # integrates the credit at every enqueue, kick and tx_complete.
-    lazy = depth_rows(EgressPort, idle_slope, arrivals, tail, avb_cap, be_cap)
-    eager = depth_rows(EagerCreditPort, idle_slope, arrivals, tail, avb_cap, be_cap)
-    assert lazy == eager
+    runs = []
+    for port_cls in (EgressPort, EagerCreditPort):
+        rows = []
+        port, _ = fed_port(arrivals, tail, idle_slope, port_cls, avb_cap, be_cap, rows)
+        runs.append((rows, port.tx_log, port.dropped))
+    assert runs[0] == runs[1]
 
 
 def test_depth_row_logs_the_positive_credit_at_an_avb_tx_complete():
@@ -610,8 +599,8 @@ def test_depth_row_logs_the_positive_credit_at_an_avb_tx_complete():
     # best-effort frame ahead of it, then drains at 80 Mbps for its 7.04 us.
     # Its tx_complete row still holds the rest; the kick that follows resets
     # it to zero before the second best-effort frame starts.
-    arrivals = [(0, 0, 1500), (0, AVB_PCP, 46), (0, 0, 46)]
-    rows, _, _ = depth_rows(EgressPort, 20_000_000, arrivals, 1_000_000, None, None)
+    rows = []
+    fed_port([(0, 0, 1500), (0, AVB_PCP, 46), (0, 0, 46)], 1_000_000, rows=rows)
     earned = 20_000_000 * 123_040
     drained = 80_000_000 * 7_040
     assert rows == [
@@ -625,29 +614,6 @@ def test_depth_row_logs_the_positive_credit_at_an_avb_tx_complete():
         (130_080, "p", 0, 0, 0),  # second best-effort start, credit reset
         (136_800, "p", 0, 0, 0),  # its tx_complete
     ]
-
-
-def test_credit_reset_invariant_after_drain():
-    sim = budgeted(Simulator(), EVENTS_PER_FRAME)
-    sink = Sink()
-    port = EgressPort(sim, "p", RATE, 20_000_000, peer=sink)
-    sim.register("drv", lambda ev: port.enqueue(frame(pcp=AVB_PCP), ev.fire_at))
-    sim.schedule("drv", "go", 0)
-    sim.run_until(7_040)
-    assert port.credit < 0  # just drained by the transmission
-    # once the queue is empty, credit recovers to zero and holds there
-    port._update_credit(1_000_000)
-    assert port.credit == 0
-
-
-def test_frame_conservation_counters():
-    h = SaturatedPortHarness()
-    h.run(200_000_000)
-    acct = h.port.accounting()
-    assert acct["offered"] == (
-        acct["transmitted"] + acct["queued"] + acct["in_service"] + acct["dropped"]
-    )
-    assert acct["transmitted"] == len(h.sink.received)
 
 
 def test_cached_wire_costs_match_wire_bits_and_eth_wire_time():

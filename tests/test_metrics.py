@@ -30,13 +30,6 @@ def recorder_of(records, arm="AVB_nature"):
     return r
 
 
-def test_single_record_summary():
-    r = LatencyRecorder()
-    r.add(0, 0x100, 0, 5_000)
-    s = r.summarize()
-    assert (s.count, s.min, s.max, s.mean, s.p50, s.p99) == (1, 5_000, 5_000, 5_000.0, 5_000, 5_000)
-
-
 def test_empty_summary_flags_undefined_stats():
     s = LatencyRecorder().summarize()
     assert s.count == 0
@@ -61,29 +54,6 @@ def test_summary_nearest_rank_hand_computed():
     assert s.p99 == 4_000
 
 
-def test_constant_series_collapses():
-    r = LatencyRecorder()
-    for i in range(10):
-        r.add(i, 0x100, 0, 7_777)
-    s = r.summarize()
-    assert s.min == s.max == s.p50 == s.p99 == 7_777
-    assert s.mean == 7_777.0
-
-
-def test_summary_permutation_invariant():
-    rng = random.Random(3)
-    lats = [rng.randrange(1, 10**7) for _ in range(200)]
-    a, b = LatencyRecorder(), LatencyRecorder()
-    for i, lat in enumerate(lats):
-        a.add(i, 0x100, 0, lat)
-    shuffled = list(enumerate(lats))
-    rng.shuffle(shuffled)
-    for i, lat in shuffled:
-        b.add(i, 0x100, 0, lat)
-    sa, sb = a.summarize(), b.summarize()
-    assert (sa.min, sa.max, sa.mean, sa.p50, sa.p99) == (sb.min, sb.max, sb.mean, sb.p50, sb.p99)
-
-
 def test_out_of_order_delivery_accepted():
     r = LatencyRecorder()
     r.add(1, 0x100, 3_000_000, 3_500_000)
@@ -95,16 +65,6 @@ def test_export_empty_series_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     export_csv(LatencyRecorder(), path)
     assert path.read_bytes() == b"seq,can_id,created_at_ns,delivered_at_ns,latency_ns,arm\n"
-
-
-def test_export_rows_in_creation_time_order(tmp_path):
-    records = [rec(1, 3_000_000, 3_600_000), rec(0, 0, 550_000)]
-    path = tmp_path / "out.csv"
-    export_csv(recorder_of(records), path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    assert lines[1].startswith("0,256,0,550000,550000,")
-    assert lines[2].startswith("1,256,3000000,3600000,600000,")
 
 
 @pytest.mark.parametrize("n", [1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE + 88])
@@ -125,20 +85,6 @@ def test_export_bytes_equal_csv_writer_across_chunks(tmp_path, n, shuffled, arm)
     assert path.read_bytes() == expected.getvalue().encode()
 
 
-def test_export_deterministic_bytes_and_roundtrip(tmp_path):
-    rng = random.Random(8)
-    records = []
-    for i in range(334):
-        created = i * 3_000_000
-        records.append(rec(i, created, created + rng.randrange(500_000, 900_000)))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_csv(recorder_of(records), p1)
-    export_csv(recorder_of(records), p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert len(p1.read_text().splitlines()) == 335
-    assert read_csv(p1) == sorted(records, key=lambda r: (r.created_at, r.seq))
-
-
 def test_export_order_equals_created_at_seq_tuple_order(tmp_path):
     # Shuffled input with tied created_at values and tied (created_at, seq)
     # pairs; tied records differ in can_id and delivered_at, so the records
@@ -148,6 +94,7 @@ def test_export_order_equals_created_at_seq_tuple_order(tmp_path):
         rec(rng.randrange(4), rng.randrange(3) * 1_000, 10_000 + i, can_id=i)
         for i in range(200)
     ]
+    records.append(rec(4, 10_000, 10_000, can_id=200))  # zero latency reads back
     rng.shuffle(records)
     path = tmp_path / "out.csv"
     export_csv(recorder_of(records), path)
