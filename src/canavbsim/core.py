@@ -92,7 +92,7 @@ class Simulator:
         """Drop a pending event; cancelling twice, or after it fired, is harmless.
 
         The event leaves the heap at once, so the loop checks nothing per
-        event.  The heap holds a handful of events and cancels are rare.
+        event.  The heap holds a handful of events.
         """
         heap = self._heap
         if ev in heap:
@@ -126,8 +126,7 @@ class Simulator:
                 handler(ev)
         finally:
             self._dispatched = dispatched
-        if t_end > self.now:
-            self.now = t_end
+        self.now = max(self.now, t_end)
         return RunStats(self._dispatched)
 
 

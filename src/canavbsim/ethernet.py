@@ -137,12 +137,12 @@ class EgressPort:
     slope that held throughout, so the port updates it wherever the slope
     changes.  The credit is at rest while it is zero, the AVB queue is
     empty and no AVB frame is on the wire; there an update is a no-op.
-    Every arrival, end of a transmission and kick brings the credit up to
-    now unless it is at rest; an AVB arrival always does, so the integration
-    after it starts at the arrival, and a kick with both queues empty reads
-    nothing and skips it.  The update schedule does not depend on whether
-    depth_trace is set, and every depth_trace row is exact; ``credit`` read
-    between events may lag behind the clock.
+    Every arrival, end of a transmission and kick with a frame queued brings
+    the credit up to now unless it is at rest, whether or not depth_trace is
+    set, so every depth_trace row is exact; ``credit`` read between events
+    may lag.  AVB gated with nothing else to send schedules one
+    ``credit_ready`` at the first ns of non-negative credit; it is never
+    cancelled, and a link that is busy when it fires ignores it.
     """
 
     def __init__(
@@ -178,7 +178,7 @@ class EgressPort:
         self.transmitted = 0
         self._tx_frame: EthFrame | None = None
         self._tx_is_avb = False
-        self._wakeup: Event | None = None
+        self._wakeup_pending = False  # a credit_ready is scheduled and has not fired
         # (payload_len, tagged) -> eth_wire_time on this link
         self._wire_times: dict[tuple[int, bool], int] = {}
         sim.register(name, self._handle)
@@ -227,18 +227,14 @@ class EgressPort:
         elif be_q.depth:
             q = be_q
         else:
-            if avb_q.depth and self._wakeup is None:
+            if avb_q.depth and not self._wakeup_pending:
                 # AVB gated on negative credit with nothing else to send:
                 # wake exactly when credit reaches zero.
-                self._wakeup = self.sim.schedule(
-                    self.name, "credit_ready", now - self.credit // self.idle_slope
-                )
+                self._wakeup_pending = True
+                self.sim.schedule(self.name, "credit_ready", now - self.credit // self.idle_slope)
             return
         frame = q.popleft()
         is_avb = q is avb_q
-        if self._wakeup is not None:
-            self.sim.cancel(self._wakeup)
-            self._wakeup = None
         self._tx_frame = frame
         self._tx_is_avb = is_avb
         key = (frame.payload_len, is_avb)
@@ -267,9 +263,10 @@ class EgressPort:
                 self.depth_trace((now, self.name, avb_q.depth, be_q.depth, self.credit))
             self.peer.on_frame_received(frame, now)
             self.kick(now)
-        else:  # credit_ready: a start would have cancelled it, so the link is idle
-            self._wakeup = None
-            self.kick(now)
+        else:  # credit_ready; a busy link starts its next frame at tx_complete
+            self._wakeup_pending = False
+            if self._tx_frame is None:
+                self.kick(now)
 
     def _update_credit(self, now: int) -> None:
         if now < self._credit_at:
@@ -281,10 +278,8 @@ class EgressPort:
             self.credit += self.send_slope * dt
         elif self.queues.avb_q.depth:
             self.credit += self.idle_slope * dt
-        elif self.credit < 0:  # recovers at idle_slope, up to zero and no further
+        else:  # recovers at idle_slope up to zero; positive credit is lost
             self.credit = min(0, self.credit + self.idle_slope * dt)
-        else:  # positive credit is lost once the AVB queue empties
-            self.credit = 0
 
     def accounting(self) -> dict[str, int]:
         """Exact frame conservation figures for this port."""

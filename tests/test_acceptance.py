@@ -179,15 +179,21 @@ def test_a6_codec_round_trip_and_malformed_rejection():
     rejected = 0
     sample = [CanMessage(9, b"\x01\x02", 5), CanMessage(1033, bytes(8), 2**40)]
     buf = pack(sample)
+    # Each check is matched by its message where a later check would also
+    # reject the buffer: cutting the last byte leaves every header whole.
     for cut in range(len(buf)):  # truncation at every boundary
-        with pytest.raises(MalformedPayload):
+        with pytest.raises(MalformedPayload, match="data truncated" if cut == len(buf) - 1 else None):
             decode(buf[:cut])
         rejected += 1
+    bad_id = bytearray(buf)
+    bad_id[2:6] = (0x800).to_bytes(4, "little")  # record 0's can_id
+    with pytest.raises(MalformedPayload, match="outside 11-bit range"):
+        decode(bytes(bad_id))
     bad_dlc = bytearray(buf)
     bad_dlc[6] = 9
-    with pytest.raises(MalformedPayload):
+    with pytest.raises(MalformedPayload, match="exceeds 8"):
         decode(bytes(bad_dlc))
-    rejected += 1
+    rejected += 2
     with pytest.raises(MalformedPayload):
         decode(buf + b"\x00")  # count mismatch: trailing bytes
     inflated = bytearray(buf)

@@ -104,6 +104,11 @@ def test_arbitrate_against_brute_force_min():
         assert winner.can_id == min(m.can_id for m in pending)
 
 
+def test_arbitrate_with_no_contenders_raises():
+    with pytest.raises(CanError, match="no contenders"):
+        arbitrate([])
+
+
 def test_arbitrate_duplicate_id_contention():
     with pytest.raises(DuplicateIdContention):
         arbitrate([msg(7, "a"), msg(7, "b")])
@@ -122,6 +127,12 @@ def make_bus(**kwargs):
         inboxes[node] = []
         bus.attach(node, lambda m, t, n=node: inboxes[n].append((m, t)))
     return sim, bus, inboxes
+
+
+def test_node_attached_twice_raises():
+    sim, bus, inboxes = make_bus()
+    with pytest.raises(CanError, match="'a' attached twice"):
+        bus.attach("a")
 
 
 def test_transmit_request_from_unattached_source_raises():

@@ -9,7 +9,9 @@ from canavbsim.core import (
     Event,
     InvalidRange,
     SchedulingInPast,
+    SimulationError,
     Simulator,
+    UnknownTarget,
     stream_rng,
     uniform_sampler,
 )
@@ -51,6 +53,20 @@ def test_scheduling_in_past_rejected():
     sim.run_until(5)
     with pytest.raises(SchedulingInPast):
         sim.schedule("a", "y", 4)
+
+
+def test_entity_registered_twice_rejected():
+    sim = Simulator()
+    sim.register("gw", collect(sim, []))
+    with pytest.raises(SimulationError, match="'gw' registered twice"):
+        sim.register("gw", collect(sim, []))
+
+
+def test_event_for_an_unregistered_target_raises():
+    sim = Simulator()
+    sim.schedule("nobody", "ping", 5)
+    with pytest.raises(UnknownTarget, match="'nobody'"):
+        sim.run_until(10)
 
 
 def test_run_until_empty_queue_advances_clock():

@@ -20,7 +20,8 @@ from canavbsim.wire import AVB_PCP
 RATE = 100_000_000
 # Events one frame can cause at one hop: the event that brings it (a driver
 # event or a switch's reception), the forward, its tx_complete, and at most
-# one credit_ready, since a wakeup that fires starts the AVB frame it waited for.
+# one credit_ready, since the next start after a wakeup fires is the AVB
+# frame it waited for.
 EVENTS_PER_FRAME = 4
 
 
@@ -73,6 +74,12 @@ class Sink:
         self.received.append((fr, now))
 
 
+def pending_wakeup(port):
+    """The port's one pending credit_ready event."""
+    (ev,) = [ev for ev in port.sim._heap if ev.kind == "credit_ready"]
+    return ev
+
+
 def shaped_port(idle_slope=20_000_000):
     """An idle 100 Mbps port and its simulator, budgeted for the two frames
     its callers enqueue at most; frames are enqueued directly."""
@@ -99,7 +106,7 @@ def test_credit_drain_during_max_frame_and_replenish_time():
     sim.run_until(123_360)
     assert port.credit == -80_000_000 * 123_360
     assert port.credit == -9_868_800_000_000
-    assert port._wakeup.fire_at == 123_360 + 493_440 == 616_800
+    assert pending_wakeup(port).fire_at == 123_360 + 493_440 == 616_800
 
 
 def test_credit_wakeup_rounds_up_to_the_first_nonnegative_ns():
@@ -111,7 +118,7 @@ def test_credit_wakeup_rounds_up_to_the_first_nonnegative_ns():
     port.enqueue(frame(pcp=AVB_PCP, payload_len=1500), 0)
     port.enqueue(frame(pcp=AVB_PCP, payload_len=1500), 0)
     sim.run_until(123_360)
-    assert port._wakeup.fire_at == 123_360 + 1_638_926
+    assert pending_wakeup(port).fire_at == 123_360 + 1_638_926
     sim.run_until(10_000_000)
     assert port.tx_log == [(0, 12_336, True), (123_360 + 1_638_926, 12_336, True)]
 
@@ -129,7 +136,7 @@ def test_credit_replenish_linearity():
     avb = frame(pcp=AVB_PCP)
     port.credit = -100_000_000
     port.enqueue(avb, 10)
-    assert port.in_service() is None and port._wakeup.fire_at == 15
+    assert port.in_service() is None and pending_wakeup(port).fire_at == 15
     sim.run_until(15)
     assert port.in_service() is avb and port.credit == 0
 
@@ -455,28 +462,29 @@ def gated_port(arrivals):
 def test_gated_avb_frame_waits_for_the_credit_ready_wakeup():
     # A tagged 1500-byte frame takes 123.36 us and drains credit at 80 Mbps;
     # at the 20 Mbps idle slope the deficit takes 4 x 123.36 = 493.44 us to
-    # recover, so the second frame starts at the wakeup at 616.8 us.
-    sim, port, sink, traced = gated_port([(0, AVB_PCP), (0, AVB_PCP)])
+    # recover, so the second frame starts at the wakeup at 616.8 us, and the
+    # third at a second wakeup another 4 x 123.36 us after its end.
+    sim, port, sink, traced = gated_port([(0, AVB_PCP), (0, AVB_PCP), (0, AVB_PCP)])
     stats = sim.run_until(10_000_000)
-    assert [when for _, when in sink.received] == [123_360, 740_160]
-    assert [ev.fire_at for ev in traced if ev.kind == "credit_ready"] == [616_800]
-    assert stats.events_dispatched == 5
+    assert [when for _, when in sink.received] == [123_360, 740_160, 1_356_960]
+    assert [ev.fire_at for ev in traced if ev.kind == "credit_ready"] == [616_800, 1_233_600]
+    assert stats.events_dispatched == 8
 
 
-def test_best_effort_frame_cancels_the_pending_wakeup():
+def test_best_effort_frame_leaves_the_pending_wakeup():
     # The best-effort frame finds the link idle with AVB gated: it starts at
-    # once (123.04 us untagged) and cancels the pending wakeup.  Credit keeps
-    # recovering while it is on the wire, so the re-armed wakeup fires at the
-    # same 616.8 us.
+    # once (123.04 us untagged) and leaves the pending wakeup in place.
+    # Credit keeps recovering while it is on the wire, so the wakeup still
+    # fires at 616.8 us and starts the AVB frame.
     sim, port, sink, traced = gated_port([(0, AVB_PCP), (0, AVB_PCP), (200_000, 0)])
     sim.run_until(199_999)
-    pending = port._wakeup
+    pending = pending_wakeup(port)
     assert pending.fire_at == 616_800
     stats = sim.run_until(10_000_000)
     assert [(fr.pcp, when) for fr, when in sink.received] == [
         (AVB_PCP, 123_360), (0, 323_040), (AVB_PCP, 740_160)
     ]
-    assert pending not in traced  # neither dispatched nor traced
+    assert pending in traced  # dispatched, not re-armed
     assert [ev.fire_at for ev in traced if ev.kind == "credit_ready"] == [616_800]
     assert [ev.kind for ev in traced].count("send") == 3
     assert [ev.kind for ev in traced].count("tx_complete") == 3
@@ -518,7 +526,7 @@ arrival_lists = st.lists(
 @given(st.integers(min_value=1_000_000, max_value=20_000_000), arrival_lists, st.integers(0, 2_000_000))
 # Two back-to-back AVB frames: the second waits for credit_ready.
 @example(20_000_000, [(0, AVB_PCP, 1500), (0, AVB_PCP, 1500)], 10_000_000)
-# A best-effort frame starts while AVB is gated and cancels the wakeup.
+# A best-effort frame starts while AVB is gated and leaves the wakeup pending.
 @example(20_000_000, [(0, AVB_PCP, 1500), (0, AVB_PCP, 1500), (200_000, 0, 1500)], 10_000_000)
 def test_credit_is_the_same_whether_or_not_it_is_observed(idle_slope, arrivals, tail):
     # With a depth_trace set the port brings the credit up to date at every

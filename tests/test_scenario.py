@@ -238,6 +238,10 @@ def test_parse_error_on_bad_syntax():
         parse_config("just words\n")
     with pytest.raises(ParseError):
         parse_config("[unterminated\n")
+    with pytest.raises(ParseError, match="line 1: empty section name"):
+        parse_config("[ ]\n")
+    with pytest.raises(ParseError, match="line 1: missing key before '='"):
+        parse_config("= 5\n")
 
 
 def test_duplicate_key_rejected():
@@ -297,6 +301,8 @@ def test_arm_configs_differ_only_in_two_knobs():
             jammer_enabled=base.jammer_enabled,
         )
         assert neutral == base
+    with pytest.raises(ValidationError, match="unknown arm 'AVB_x'"):
+        arm_config(base, "AVB_x")
 
 
 def test_avb_nature_constant_latency_within_pack_jitter():
@@ -402,6 +408,20 @@ def test_gated_avb_nature_run_is_pinned(idle_slope, events, wakeups, max_latency
     assert kinds.count("credit_ready") == wakeups
     assert net.recorder.summarize().max == max_latency
     assert hashlib.sha256(tx_log.encode()).hexdigest() == tx_sha256
+
+
+@pytest.mark.parametrize("horizon,in_service,pending", [(503_000, 1, 0), (509_000, 0, 1)])
+def test_message_in_flight_is_counted_on_the_wire_and_inside_a_switch(horizon, in_service, pending):
+    # The reference config's first message leaves the gateway in a frame at
+    # 500 us: at 503 us that frame is on port:gw->sw1, at 509 us it waits in
+    # sw1 for its forwarding latency.
+    net = build_network(ScenarioConfig(duration=horizon))
+    net.run()
+    assert net.ports[0].accounting()["in_service"] == in_service
+    assert len(net.switches[0].pending) == pending
+    acct = net.account()
+    assert acct["in_flight"] == 1
+    assert acct["created"] == acct["delivered"] + acct["in_flight"] + acct["dropped"] == 1
 
 
 def test_suite_emits_exactly_the_four_arms(tmp_path):
@@ -693,6 +713,8 @@ def test_run_scenario_validates_before_traces_are_touched(tmp_path):
 def test_cli_suite_runs_four_arms(tmp_path, capsys):
     code = cli_main(["suite", "--duration", "20ms", "--out", str(tmp_path / "suite")])
     assert code == 0
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert wrote == [f"wrote {tmp_path / 'suite' / f'fig3_{arm}.csv'}" for arm in ARMS]
     for arm in ARMS:
         assert (tmp_path / "suite" / f"fig3_{arm}.csv").exists()
 
