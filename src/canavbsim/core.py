@@ -3,6 +3,11 @@
 All simulation time is integer nanoseconds.  Events are totally ordered by
 (fire time, insertion sequence number), so two runs with the same inputs
 dispatch the same events in the same order.
+
+A scheduled event is the plain tuple ``(fire_at, seq, target, kind)``: the
+heap entry, the handle that ``schedule`` returns and ``cancel`` takes, and
+the row passed to ``trace``.  A handler receives the simulator's one
+``Event`` record, whose fields are set from that tuple before each call.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from typing import Callable, NamedTuple
 
 NS_PER_SEC = 1_000_000_000
 
-# Builds an Event from a ready tuple without the NamedTuple __new__ call.
-_new_tuple = tuple.__new__
+# A scheduled event: (fire_at, seq, target, kind).
+Entry = tuple[int, int, str, str]
 
 
 class SimulationError(Exception):
@@ -34,18 +39,15 @@ class UnknownTarget(SimulationError):
     """An event fired for an entity that was never registered."""
 
 
-class Event(NamedTuple):
-    """One scheduled occurrence, and its own heap entry: exactly the four
-    columns of the trace log.
+class Event:
+    """The event a handler is called for: the four fields of its entry.
 
-    Total order is (fire_at, seq); seq is unique, so tuple comparison never
-    reaches target.  Immutable: cancel takes the entry out of the heap.
+    One record per Simulator, rebound before every dispatch, so it is valid
+    only for the duration of the handler call; a handler that needs the
+    event later copies its fields.
     """
 
-    fire_at: int
-    seq: int
-    target: str
-    kind: str
+    __slots__ = ("fire_at", "seq", "target", "kind")
 
 
 class RunStats(NamedTuple):
@@ -60,35 +62,39 @@ class Simulator:
 
     Entities register a handler under a unique name and schedule events
     against it.  Set ``trace`` to a callable before the run to receive every
-    dispatched event (used for the ``time_ns,seq,target,kind`` trace log).
+    dispatched entry (used for the ``time_ns,seq,target,kind`` trace log).
     """
 
     def __init__(self):
         self.now = 0
-        self.trace: Callable[[Event], None] | None = None
-        self._heap: list[Event] = []
+        self.trace: Callable[[Entry], None] | None = None
+        self._heap: list[Entry] = []
         self._seq = 0
         self._dispatched = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
+        self._event = Event()
 
     def register(self, name: str, handler: Callable[[Event], None]) -> None:
         if name in self._handlers:
             raise SimulationError(f"entity {name!r} registered twice")
         self._handlers[name] = handler
 
-    def schedule(self, target: str, kind: str, fire_at: int) -> Event:
-        """Enqueue an event; returns a handle usable with cancel()."""
+    def schedule(self, target: str, kind: str, fire_at: int) -> Entry:
+        """Enqueue an event; returns its entry, usable with cancel().
+
+        Total order is (fire_at, seq); seq is unique, so tuple comparison
+        never reaches target."""
         if fire_at < self.now:
             raise SchedulingInPast(
                 f"cannot schedule {kind!r} at {fire_at} ns; clock is at {self.now} ns"
             )
         seq = self._seq
         self._seq = seq + 1
-        ev = _new_tuple(Event, (fire_at, seq, target, kind))
+        ev = (fire_at, seq, target, kind)
         heappush(self._heap, ev)
         return ev
 
-    def cancel(self, ev: Event) -> None:
+    def cancel(self, ev: Entry) -> None:
         """Drop a pending event; cancelling twice, or after it fired, is harmless.
 
         The event leaves the heap at once, so the loop checks nothing per
@@ -108,13 +114,14 @@ class Simulator:
         heap = self._heap
         handlers = self._handlers
         trace = self.trace
+        event = self._event
         # Counted in a local and stored back even when a handler raises; the
         # raising event counts as dispatched.
         dispatched = self._dispatched
         try:
             while heap and heap[0][0] <= t_end:
                 ev = heappop(heap)
-                # Index access: ev is (fire_at, seq, target, kind).
+                event.fire_at, event.seq, event.target, event.kind = ev
                 self.now = ev[0]
                 dispatched += 1
                 if trace is not None:
@@ -123,7 +130,7 @@ class Simulator:
                     handler = handlers[ev[2]]
                 except KeyError:
                     raise UnknownTarget(f"no handler registered for {ev[2]!r}") from None
-                handler(ev)
+                handler(event)
         finally:
             self._dispatched = dispatched
         self.now = max(self.now, t_end)

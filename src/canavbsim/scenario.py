@@ -209,7 +209,7 @@ def run_scenario(
             return rows
 
         if trace_path:
-            # An Event is the row: (fire_at, seq, target, kind).
+            # The scheduled entry is the row: (fire_at, seq, target, kind).
             net.sim.trace = sink(trace_path, "time_ns,seq,target,kind\n", "%d,%d,%s,%s\n").append
         if depth_trace_path:
             rows = sink(depth_trace_path, "time_ns,port,avb_depth,be_depth,credit\n", "%d,%s,%d,%d,%d\n")

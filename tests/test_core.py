@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from canavbsim.core import (
-    Event,
     InvalidRange,
     SchedulingInPast,
     SimulationError,
@@ -29,7 +28,7 @@ def test_schedule_at_time_zero_boundary():
     log = []
     sim.register("gw", collect(sim, log))
     handle = sim.schedule("gw", "pack_timer", 0)
-    assert handle.seq == 0
+    assert handle[1] == 0
     sim.run_until(10)
     assert log == [(0, 0, "pack_timer")]
 
@@ -223,14 +222,14 @@ def test_cancel_dispatches_exactly_the_uncancelled_events_in_order(plan):
         if how == "twice":
             sim.cancel(ev)
         if how == "handler" and rank and order[pick % rank] not in cancelled:
-            cancels.setdefault(order[pick % rank].seq, []).append(ev)
+            cancels.setdefault(order[pick % rank][1], []).append(ev)
             cancelled.add(ev)
     stats = sim.run_until(5)
     for ev, how in zip(order, plans):
         if how == "after":
             sim.cancel(ev)
     sim.run_until(10)
-    expected = [(ev.fire_at, ev.seq) for ev in order if ev not in cancelled]
+    expected = [ev[:2] for ev in order if ev not in cancelled]
     assert log == expected
     assert stats.events_dispatched == len(expected)
     assert sim._heap == []
@@ -238,15 +237,12 @@ def test_cancel_dispatches_exactly_the_uncancelled_events_in_order(plan):
 
 def test_event_is_an_immutable_heap_entry():
     sim = Simulator()
-    ev = sim.schedule("a", "x", 5)
-    assert isinstance(ev, Event)
-    assert ev == (5, 0, "a", "x")
-    assert (ev.fire_at, ev.seq, ev.target, ev.kind) == (5, 0, "a", "x")
-    with pytest.raises(AttributeError):
-        ev.fire_at = 6
-    with pytest.raises(AttributeError):
-        ev.cancelled = True
-    assert sim._heap == [ev]
+    handle = sim.schedule("a", "x", 5)
+    assert type(handle) is tuple
+    assert handle == (5, 0, "a", "x")
+    with pytest.raises(TypeError):
+        handle[0] = 6
+    assert sim._heap == [handle]
 
 
 def test_causality_clock_never_decreases():
@@ -269,7 +265,7 @@ def test_causality_clock_never_decreases():
 def test_trace_lines_match_dispatch_order():
     rows = []
     sim = Simulator()
-    sim.trace = lambda ev: rows.append((ev.fire_at, ev.seq, ev.target, ev.kind))
+    sim.trace = rows.append
     sim.register("a", lambda ev: None)
     sim.schedule("a", "x", 5)
     sim.schedule("a", "y", 5)

@@ -75,8 +75,8 @@ class Sink:
 
 
 def pending_wakeup(port):
-    """The port's one pending credit_ready event."""
-    (ev,) = [ev for ev in port.sim._heap if ev.kind == "credit_ready"]
+    """The port's one pending credit_ready entry: (fire_at, seq, target, kind)."""
+    (ev,) = [ev for ev in port.sim._heap if ev[3] == "credit_ready"]
     return ev
 
 
@@ -106,7 +106,7 @@ def test_credit_drain_during_max_frame_and_replenish_time():
     sim.run_until(123_360)
     assert port.credit == -80_000_000 * 123_360
     assert port.credit == -9_868_800_000_000
-    assert pending_wakeup(port).fire_at == 123_360 + 493_440 == 616_800
+    assert pending_wakeup(port)[0] == 123_360 + 493_440 == 616_800
 
 
 def test_credit_wakeup_rounds_up_to_the_first_nonnegative_ns():
@@ -118,7 +118,7 @@ def test_credit_wakeup_rounds_up_to_the_first_nonnegative_ns():
     port.enqueue(frame(pcp=AVB_PCP, payload_len=1500), 0)
     port.enqueue(frame(pcp=AVB_PCP, payload_len=1500), 0)
     sim.run_until(123_360)
-    assert pending_wakeup(port).fire_at == 123_360 + 1_638_926
+    assert pending_wakeup(port)[0] == 123_360 + 1_638_926
     sim.run_until(10_000_000)
     assert port.tx_log == [(0, 12_336, True), (123_360 + 1_638_926, 12_336, True)]
 
@@ -136,7 +136,7 @@ def test_credit_replenish_linearity():
     avb = frame(pcp=AVB_PCP)
     port.credit = -100_000_000
     port.enqueue(avb, 10)
-    assert port.in_service() is None and pending_wakeup(port).fire_at == 15
+    assert port.in_service() is None and pending_wakeup(port)[0] == 15
     sim.run_until(15)
     assert port.in_service() is avb and port.credit == 0
 
@@ -312,7 +312,7 @@ def tie_chain(receptions):
     port.tx_log = []
     sw1 = Switch(sim, "sw1", 5_000, port)
     sim.register("drv", lambda ev: sw1.on_frame_received(frames.pop(ev.seq), ev.fire_at))
-    frames = {sim.schedule("drv", "rx", at).seq: fr for at, fr in receptions}
+    frames = {sim.schedule("drv", "rx", at)[1]: fr for at, fr in receptions}
     return sim, port, sink, traced
 
 
@@ -324,7 +324,7 @@ def test_forward_at_a_filler_tx_complete_waits_for_the_next_filler():
     filler, can = frame(0, FILLER_PAYLOAD), frame(AVB_PCP)
     sim, port, sink, traced = tie_chain([(0, filler), (0, filler), (119_200, can)])
     sim.run_until(1_000_000)
-    at_tie = [(ev.target, ev.kind) for ev in traced if ev.fire_at == 124_200]
+    at_tie = [(target, kind) for at, _, target, kind in traced if at == 124_200]
     assert at_tie == [("port:sw1->sw2", "tx_complete"), ("sw1", "forward")]
     assert port.tx_log == [(5_000, 11_920, False), (124_200, 11_920, False), (243_400, 704, True)]
     assert sink.received[-1] == (can, 243_400 + 7_040)
@@ -455,7 +455,7 @@ def gated_port(arrivals):
     sink = Sink()
     port = EgressPort(sim, "p", RATE, 20_000_000, peer=sink)
     sim.register("drv", lambda ev: port.enqueue(frames.pop(ev.seq), ev.fire_at))
-    frames = {sim.schedule("drv", "send", at).seq: frame(pcp, 1500) for at, pcp in arrivals}
+    frames = {sim.schedule("drv", "send", at)[1]: frame(pcp, 1500) for at, pcp in arrivals}
     return sim, port, sink, traced
 
 
@@ -467,7 +467,7 @@ def test_gated_avb_frame_waits_for_the_credit_ready_wakeup():
     sim, port, sink, traced = gated_port([(0, AVB_PCP), (0, AVB_PCP), (0, AVB_PCP)])
     stats = sim.run_until(10_000_000)
     assert [when for _, when in sink.received] == [123_360, 740_160, 1_356_960]
-    assert [ev.fire_at for ev in traced if ev.kind == "credit_ready"] == [616_800, 1_233_600]
+    assert [at for at, _, _, kind in traced if kind == "credit_ready"] == [616_800, 1_233_600]
     assert stats.events_dispatched == 8
 
 
@@ -479,15 +479,15 @@ def test_best_effort_frame_leaves_the_pending_wakeup():
     sim, port, sink, traced = gated_port([(0, AVB_PCP), (0, AVB_PCP), (200_000, 0)])
     sim.run_until(199_999)
     pending = pending_wakeup(port)
-    assert pending.fire_at == 616_800
+    assert pending[0] == 616_800
     stats = sim.run_until(10_000_000)
     assert [(fr.pcp, when) for fr, when in sink.received] == [
         (AVB_PCP, 123_360), (0, 323_040), (AVB_PCP, 740_160)
     ]
     assert pending in traced  # dispatched, not re-armed
-    assert [ev.fire_at for ev in traced if ev.kind == "credit_ready"] == [616_800]
-    assert [ev.kind for ev in traced].count("send") == 3
-    assert [ev.kind for ev in traced].count("tx_complete") == 3
+    assert [at for at, _, _, kind in traced if kind == "credit_ready"] == [616_800]
+    assert [kind for *_, kind in traced].count("send") == 3
+    assert [kind for *_, kind in traced].count("tx_complete") == 3
     assert stats.events_dispatched == len(traced) == 7
 
 
@@ -508,7 +508,7 @@ def fed_port(
     at = 0
     for gap, pcp, payload_len in arrivals:
         at += gap
-        frames[sim.schedule("drv", "send", at).seq] = frame(pcp, payload_len)
+        frames[sim.schedule("drv", "send", at)[1]] = frame(pcp, payload_len)
     return port, sim.run_until(at + tail)
 
 

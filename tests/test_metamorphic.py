@@ -91,7 +91,7 @@ def run_counting_wakeups(cfg: ScenarioConfig) -> tuple[dict[int, int], int]:
     """Each delivered message's latency by seq, and the credit_ready count."""
     net = build_network(cfg)
     kinds = []
-    net.sim.trace = lambda ev: kinds.append(ev.kind)
+    net.sim.trace = lambda ev: kinds.append(ev[3])
     net.run()
     return {r.seq: r.latency for r in net.recorder}, kinds.count("credit_ready")
 

@@ -27,6 +27,7 @@ from canavbsim.config import (
     parse_rate,
     validate_config,
 )
+from canavbsim.core import Event
 from canavbsim.ethernet import Switch
 from canavbsim.metrics import read_csv
 from canavbsim.scenario import build_network, run_experiment_suite, run_scenario
@@ -377,6 +378,15 @@ def test_sliced_run_matches_one_run_until_to_the_horizon(arm, seed):
     assert len(net.recorder) > 0
 
 
+def gated_avb_nature(idle_slope: str) -> ScenarioConfig:
+    """200 ms of AVB_nature at seed 42 whose 120 us sender period outruns
+    idle_slope, so the credit gates the stream."""
+    return arm_config(parse_config(
+        "sim.seed = 42\nsim.duration = 200ms\ntraffic.sender.period = 120us\n"
+        f"switches.idle_slope = {idle_slope}\n"
+    ), "AVB_nature")
+
+
 # Figures of the credit-based shaper at a pinned seed: with a 120 us CAN
 # period the gateway offers more AVB load than a 1 or 2 Mbps idle slope
 # passes, so AVB frames wait for credit_ready wakeups.  No benchmark
@@ -393,13 +403,9 @@ def test_sliced_run_matches_one_run_until_to_the_horizon(arm, seed):
     ids=["1Mbps", "2Mbps"],
 )
 def test_gated_avb_nature_run_is_pinned(idle_slope, events, wakeups, max_latency, tx_sha256):
-    cfg = arm_config(parse_config(
-        "sim.seed = 42\nsim.duration = 200ms\ntraffic.sender.period = 120us\n"
-        f"switches.idle_slope = {idle_slope}\n"
-    ), "AVB_nature")
-    net = build_network(cfg)
+    net = build_network(gated_avb_nature(idle_slope))
     kinds = []
-    net.sim.trace = lambda ev: kinds.append(ev.kind)
+    net.sim.trace = lambda ev: kinds.append(ev[3])
     for port in net.ports:
         port.tx_log = []
     stats = net.run()
@@ -408,6 +414,40 @@ def test_gated_avb_nature_run_is_pinned(idle_slope, events, wakeups, max_latency
     assert kinds.count("credit_ready") == wakeups
     assert net.recorder.summarize().max == max_latency
     assert hashlib.sha256(tx_log.encode()).hexdigest() == tx_sha256
+
+
+def observed(handle, seen):
+    """handle, wrapped to append the fields of the Event it receives to seen,
+    after checking that they still hold when handle returns."""
+
+    def handler(ev):
+        row = (ev.fire_at, ev.seq, ev.target, ev.kind)
+        handle(ev)
+        assert type(ev) is Event and (ev.fire_at, ev.seq, ev.target, ev.kind) == row
+        seen.append(row)
+
+    return handler
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        arm_config(parse_config("sim.seed = 42\nsim.duration = 50ms\n"), "AVB_jam"),
+        gated_avb_nature("1Mbps"),
+    ],
+    ids=["AVB_jam", "AVB_nature-gated"],
+)
+def test_every_handler_receives_the_trace_row_of_its_dispatch(cfg):
+    # A handler gets the simulator's one Event record, rebound from the
+    # popped entry before the call.  A field left unbound, or a rebinding
+    # after the call, shows as a handler row that differs from the trace row.
+    net = build_network(cfg)
+    rows, seen = [], []
+    net.sim.trace = rows.append
+    net.sim._handlers = {name: observed(h, seen) for name, h in net.sim._handlers.items()}
+    stats = net.run()
+    assert len(rows) == stats.events_dispatched > 8_000
+    assert seen == rows
 
 
 @pytest.mark.parametrize("horizon,in_service,pending", [(503_000, 1, 0), (509_000, 0, 1)])
@@ -554,7 +594,7 @@ def test_trace_files_match_rows_formatted_one_at_a_time(tmp_path, monkeypatch):
     net = build_network(parse_config(JAM_20MS))
     events = ["time_ns,seq,target,kind\n"]
     depths = ["time_ns,port,avb_depth,be_depth,credit\n"]
-    net.sim.trace = lambda ev: events.append(f"{ev.fire_at},{ev.seq},{ev.target},{ev.kind}\n")
+    net.sim.trace = lambda ev: events.append(",".join(map(str, ev)) + "\n")
     for port in net.ports:
         port.depth_trace = lambda row: depths.append(",".join(map(str, row)) + "\n")
     net.run()
@@ -577,7 +617,8 @@ def test_traced_run_that_raises_ends_with_the_raising_events_row(tmp_path, monke
 
     def failing_forward(switch, ev):
         if ev.fire_at >= 10_000_000:
-            faults.append(HandlerFault(ev))
+            # The record is valid only during the call: keep its fields.
+            faults.append(HandlerFault((ev.fire_at, ev.seq, ev.target, ev.kind)))
             raise faults[0]
         forward(switch, ev)
 
@@ -585,10 +626,10 @@ def test_traced_run_that_raises_ends_with_the_raising_events_row(tmp_path, monke
     with pytest.raises(HandlerFault) as raised:
         logged_run(tmp_path, "failed")
     assert raised.value is faults[0]  # propagated unchanged
-    ev = raised.value.args[0]
+    fire_at, seq, target, kind = raised.value.args[0]
     trace = (tmp_path / "failed" / "trace.csv").read_bytes()
     depths = (tmp_path / "failed" / "queue_trace.csv").read_bytes()
-    assert trace.endswith(f"\n{ev.fire_at},{ev.seq},{ev.target},{ev.kind}\n".encode())
+    assert trace.endswith(f"\n{fire_at},{seq},{target},{kind}\n".encode())
     # Everything before the fault is written, exactly as in a run without it.
     assert full_trace.startswith(trace)
     assert full_depths.startswith(depths)
