@@ -7,7 +7,7 @@ from array import array
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, islice, repeat
-from operator import lt, rshift, sub
+from operator import rshift, sub
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -157,42 +157,27 @@ class LatencyRecorder(Sequence):
         )
 
 
-def _creation_order(created_at: array, seq: array) -> list[int] | None:
-    """Row indices in (created_at, seq) order, or None when the rows already
-    are in that order, as one sender's messages delivered FIFO are."""
-    if all(map(lt, created_at, islice(created_at, 1, None))):
-        return None
-    # Two stable sorts give (created_at, seq) order without a key tuple per row.
-    order = sorted(range(len(seq)), key=seq.__getitem__)
-    order.sort(key=created_at.__getitem__)
-    return order
-
-
 def write_rows(file: TextIO, row_format: str, rows: list[tuple]) -> None:
     """Write rows, each formatted by row_format, with one % call."""
     file.write(row_format * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 def export_csv(recorder: LatencyRecorder, path: str | Path) -> None:
-    """Write a recorder's records in (created_at, seq) order; byte output is
-    deterministic.
+    """Write a recorder's records in the order they were added; byte output
+    is deterministic.  A run's recorder is filled in delivery order, which is
+    creation order (README "Model notes").
 
     Rows go out ROWS_PER_WRITE at a time through write_rows, byte for byte
     what ``csv.writer`` writes: every field but the last is an integer, and
     the arm label comes from ``config.arm_name``, whose names hold no
     comma, quote or line break, so no field needs quoting."""
-    columns = recorder.columns
-    order = _creation_order(recorder.created_at, recorder.seq)
-    if order is not None:
-        columns = [array(column.typecode, map(column.__getitem__, order)) for column in columns]
-    seq, can_id, created, delivered = columns
+    seq, can_id, created, delivered = recorder.columns
+    rows = zip(seq, can_id, created, delivered, map(sub, delivered, created))
     row_format = "%d,%d,%d,%d,%d," + recorder.arm.replace("%", "%%") + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for start in range(0, len(seq), ROWS_PER_WRITE):
-            end = start + ROWS_PER_WRITE
-            c, d = created[start:end], delivered[start:end]
-            write_rows(fh, row_format, list(zip(seq[start:end], can_id[start:end], c, d, map(sub, d, c))))
+        for _ in range(0, len(seq), ROWS_PER_WRITE):
+            write_rows(fh, row_format, list(islice(rows, ROWS_PER_WRITE)))
 
 
 def read_csv(path: str | Path) -> list[LatencyRecord]:

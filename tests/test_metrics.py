@@ -80,12 +80,12 @@ def test_export_bytes_equal_csv_writer_across_chunks(tmp_path, n, shuffled, arm)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in sorted(records, key=lambda r: (r.created_at, r.seq)):
+    for r in records:  # the order they were added, shuffled or not
         writer.writerow((r.seq, r.can_id, r.created_at, r.delivered_at, r.latency, arm))
     assert path.read_bytes() == expected.getvalue().encode()
 
 
-def test_export_order_equals_created_at_seq_tuple_order(tmp_path):
+def test_export_read_round_trip_keeps_added_order(tmp_path):
     # Shuffled input with tied created_at values and tied (created_at, seq)
     # pairs; tied records differ in can_id and delivered_at, so the records
     # read back show their relative order.
@@ -96,10 +96,10 @@ def test_export_order_equals_created_at_seq_tuple_order(tmp_path):
     ]
     records.append(rec(4, 10_000, 10_000, can_id=200))  # zero latency reads back
     rng.shuffle(records)
+    recorder = recorder_of(records)
     path = tmp_path / "out.csv"
-    export_csv(recorder_of(records), path)
-    expected = sorted(records, key=lambda r: (r.created_at, r.seq))
-    assert read_csv(path) == expected
+    export_csv(recorder, path)
+    assert read_csv(path) == list(recorder) == records
 
 
 @pytest.mark.parametrize(

@@ -13,10 +13,14 @@ frame reaches ``port:sw1->sw2`` at the nanosecond that port completes a
 filler (738 ms in), and which of the two events fires first decides
 whether the frame waits behind the next filler.  Those cases are strict
 xfails until the simulator has an order-free same-instant rule.
+
+The unperturbed runs also pin the delivery order that ``export_csv`` writes
+as filled: along every run's recorder ``created_at`` strictly increases.
 """
 
 from functools import lru_cache
 from itertools import count
+from operator import ge
 from random import Random
 
 import pytest
@@ -49,6 +53,26 @@ CONFIGS = {
     "AVB_jam": _cfg("AVB_jam", duration=1_000 * MS),
 }
 ORDERS = ("random", "reversed")
+# Configs the delivery-order test adds, each paired with the site where it
+# drops messages (None: nowhere): several records per frame (a 120 us
+# sender), drops at the gateway FIFO, and drops of whole frames at a port's
+# AVB queue behind a pcp-3 jammer.
+ORDER_CONFIGS = {
+    "AVB_nature_120us": (_cfg("AVB_nature", 50 * MS, sender_period=120_000), None),
+    "AVB_jam_120us": (_cfg("AVB_jam", 50 * MS, sender_period=120_000), None),
+    "Eth_jam_120us": (_cfg("Eth_jam", 50 * MS, sender_period=120_000), None),
+    "AVB_nature_120us_gateway_cap_2": (
+        _cfg("AVB_nature", 50 * MS, sender_period=120_000, gw_queue_cap=2),
+        "gateway",
+    ),
+    "AVB_jam_120us_pcp3_jammer_avb_cap_1": (
+        _cfg(
+            "AVB_jam", 50 * MS, sender_period=120_000, jammer_pcp=3,
+            avb_queue_cap=1, jammer_link_rate=100_000_000,
+        ),
+        "port",
+    ),
+}
 
 
 def _order_keys(order: str):
@@ -119,3 +143,24 @@ def test_message_246_is_the_record_the_tie_moves(outcome):
     assert normal[246] == 762_480
     assert reversed_[246] == 643_280
     assert {seq for seq in normal if normal[seq] != reversed_[seq]} == {246}
+
+
+@pytest.mark.parametrize("name", [*CONFIGS, *ORDER_CONFIGS])
+def test_delivery_is_in_creation_order(outcome, name):
+    """README "Model notes": one sender's messages are delivered in creation
+    order, so ``created_at`` strictly increases along a run's recorder, and
+    ``export_csv`` writes the recorder as filled, unsorted."""
+    if name in CONFIGS:
+        records = outcome(name)[0]
+    else:
+        cfg, drop_site = ORDER_CONFIGS[name]
+        net = build_network(cfg)
+        net.run()
+        records = list(net.recorder)
+        assert (net.gw.overflow_drops > 0, net.records_in_dropped_frames > 0) == (
+            drop_site == "gateway",
+            drop_site == "port",
+        )
+    assert records, "the config must deliver messages"
+    created = [r.created_at for r in records]
+    assert sum(map(ge, created, created[1:])) == 0, "records out of creation order"
